@@ -70,10 +70,19 @@ def _apply_symbol(rows: np.ndarray, symbol: np.ndarray) -> np.ndarray:
     return np.fft.ifft(np.fft.fft(rows, axis=1) * symbol[None, :], axis=1).real
 
 
-def weighted_snapshot_matrix(z: SnapshotSet) -> np.ndarray:
-    """The doubly weighted matrix ``W^{1/2} Z R`` whose plain SVD is the POD."""
-    sq = np.sqrt(_mass_symbol(z.grid))
-    return np.sqrt(z.tgrid.weights)[:, None] * _apply_symbol(z.values, sq)
+def _weighted_svd(
+    values: np.ndarray, grid: SpatialGrid, weights: np.ndarray, r: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """SVD of the doubly weighted matrix ``W^{1/2} Z R`` (``R`` the symmetric
+    square root of the mass matrix), whose plain SVD is the weighted POD.
+
+    Returns the leading ``r`` left singular vectors, all singular values, and
+    the ``r`` X-orthonormal mode rows ``R^{-1} v_i``.
+    """
+    sq = np.sqrt(_mass_symbol(grid))
+    B = np.sqrt(weights)[:, None] * _apply_symbol(values, sq)
+    U, s, Vt = np.linalg.svd(B, full_matrices=False)
+    return U[:, :r], s, _apply_symbol(Vt[:r], 1.0 / sq)
 
 
 def pod(z: SnapshotSet, r: int) -> PodResult:
@@ -85,10 +94,7 @@ def pod(z: SnapshotSet, r: int) -> PodResult:
     nt, n = z.values.shape
     if not 1 <= r <= min(nt, n):
         raise ValueError(f"rank {r} out of range for {nt} x {n} data")
-    sq = np.sqrt(_mass_symbol(z.grid))
-    B = np.sqrt(z.tgrid.weights)[:, None] * _apply_symbol(z.values, sq)
-    _, s, Vt = np.linalg.svd(B, full_matrices=False)
-    modes = _apply_symbol(Vt[:r], 1.0 / sq)
+    _, s, modes = _weighted_svd(z.values, z.grid, z.tgrid.weights, r)
     coeffs = z.values @ apply_gram(gram_F(0.0, z.grid), modes).T
     return PodResult(modes, coeffs, s)
 

@@ -28,20 +28,6 @@ DECOMP_MAGIC = "# spod-decomp-v1"
 _FMT = "%.17g"
 
 
-def _set_thread_env(argv: list[str]) -> None:
-    """Apply --threads before numpy is imported (BLAS pools read the env)."""
-    for i, arg in enumerate(argv):
-        value = None
-        if arg == "--threads" and i + 1 < len(argv):
-            value = argv[i + 1]
-        elif arg.startswith("--threads="):
-            value = arg.split("=", 1)[1]
-        if value is not None:
-            for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-                os.environ.setdefault(var, value)
-            return
-
-
 class CliError(Exception):
     def __init__(self, message: str, code: int):
         super().__init__(message)
@@ -107,39 +93,59 @@ def _load_decomposition(path: Path):
     lines = path.read_text(encoding="utf-8").splitlines()
     if not lines or lines[0].strip() != DECOMP_MAGIC:
         raise CliError(f"{path}: missing '{DECOMP_MAGIC}' magic line", IO_EXIT)
-    header = dict(tok.split("=", 1) for tok in lines[1].split())
+    lineno = 1  # 1-based number of the last line read
+
+    def take(key: str | None = None) -> str:
+        """Next line, or with ``key`` the value of its ``key=value`` form."""
+        nonlocal lineno
+        lineno += 1
+        if lineno > len(lines):
+            raise ValueError("unexpected end of file")
+        text = lines[lineno - 1].strip()
+        if key is None:
+            return text
+        name, sep, value = text.partition("=")
+        if not sep or name != key:
+            raise ValueError(f"expected '{key}=', got {text[:40]!r}")
+        return value
+
+    def numbers(text: str, count: int, kind=float) -> list:
+        vals = [kind(v) for v in text.split()]
+        if len(vals) != count:
+            raise ValueError(f"expected {count} values, found {len(vals)}")
+        return vals
+
     try:
-        nframes = int(header["nframes"])
-        nt = int(header["nt"])
-        nx = int(header["nx"])
-        length = float(header["length"])
-        tfinal = float(header["tfinal"])
-    except (KeyError, ValueError) as exc:
-        raise CliError(f"{path}: malformed header: {exc}", IO_EXIT) from exc
-    grid = SpatialGrid(nx, length)
-    tgrid = make_uniform_time_grid(nt - 1, tfinal)
-    frames = []
-    i = 2
-    for _ in range(nframes):
-        if i >= len(lines) or lines[i].strip() != "[frame]":
-            raise CliError(f"{path}: line {i + 1}: expected [frame]", IO_EXIT)
-        i += 1
-        kind = lines[i].split("=", 1)[1].strip()
-        i += 1
-        pvals = np.array([float(v) for v in lines[i].split("=", 1)[1].split()])
-        i += 1
-        r, n = (int(v) for v in lines[i].split("=", 1)[1].split())
-        i += 1
-        modes = np.array([[float(v) for v in lines[i + j].split()] for j in range(r)])
-        i += r
-        cnt, cr = (int(v) for v in lines[i].split("=", 1)[1].split())
-        i += 1
-        coeffs = np.array([[float(v) for v in lines[i + j].split()] for j in range(cnt)])
-        i += cnt
-        if modes.shape != (r, n) or coeffs.shape != (cnt, cr):
-            raise CliError(f"{path}: inconsistent frame block shapes", IO_EXIT)
-        frames.append(Frame(PathRepr(kind, pvals), modes, coeffs))
-    return Decomposition(tuple(frames), grid, tgrid)
+        header = {}
+        for tok in take().split():
+            key, sep, value = tok.partition("=")
+            if not sep:
+                raise ValueError(f"malformed header token {tok!r}")
+            header[key] = value
+        try:
+            nframes = int(header["nframes"])
+            nt, nx = int(header["nt"]), int(header["nx"])
+            grid = SpatialGrid(nx, float(header["length"]))
+            tgrid = make_uniform_time_grid(nt - 1, float(header["tfinal"]))
+        except KeyError as exc:
+            raise ValueError(f"malformed header: missing {exc}") from None
+        frames = []
+        for _ in range(nframes):
+            if take() != "[frame]":
+                raise ValueError("expected [frame]")
+            kind = take("path_kind")
+            pvals = np.array([float(v) for v in take("path").split()])
+            r, n = numbers(take("modes"), 2, int)
+            modes = np.array([numbers(take(), n) for _ in range(r)]).reshape(r, n)
+            cnt, cr = numbers(take("coeffs"), 2, int)
+            coeffs = np.array([numbers(take(), cr) for _ in range(cnt)]).reshape(cnt, cr)
+            frames.append(Frame(PathRepr(kind, pvals), modes, coeffs))
+    except ValueError as exc:
+        raise CliError(f"{path}: line {lineno}: {exc}", IO_EXIT) from exc
+    try:
+        return Decomposition(tuple(frames), grid, tgrid)
+    except ValueError as exc:
+        raise CliError(f"{path}: {exc}", IO_EXIT) from exc
 
 
 def _parse_frame_spec(spec: str, tgrid, default_r: int | None = None):
@@ -516,7 +522,6 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="spod",
         description="Decompose snapshot data into amplitude-modulated, path-shifted modes.",
     )
-    parser.add_argument("--threads", type=int, help="cap BLAS thread pools")
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("generate", help="generate benchmark datasets")
@@ -592,7 +597,6 @@ _COMMANDS = {
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    _set_thread_env(argv)
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
@@ -600,6 +604,9 @@ def main(argv: list[str] | None = None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
+    except UnicodeDecodeError as exc:
+        print(f"error: input is not UTF-8 text: {exc}", file=sys.stderr)
+        return IO_EXIT
     except (ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_EXIT

@@ -218,8 +218,12 @@ def _parse_header(line: str) -> tuple[int, int, float, float]:
         tfinal = float(tokens[7])
     except ValueError as exc:
         raise SnapshotFormatError(f"line 2: malformed header {line!r}") from exc
-    if nt < 2 or nx < 3 or length <= 0 or tfinal <= 0:
+    if nt < 2 or nx < 3:
         raise SnapshotFormatError(f"line 2: invalid dimensions in header {line!r}")
+    if not all(math.isfinite(v) and v > 0 for v in (length, tfinal)):
+        raise SnapshotFormatError(
+            f"line 2: length and tfinal must be positive and finite in header {line!r}"
+        )
     return nt, nx, length, tfinal
 
 

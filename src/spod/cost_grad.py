@@ -29,6 +29,8 @@ from .shift_fem import (
     apply_gram,
     gram_F,
     gram_G,
+    roll_rows,
+    shift_rows,
     stiffness_gram,
 )
 
@@ -177,10 +179,6 @@ def _check_same_grids(z: SnapshotSet, d: Decomposition) -> None:
         raise ValueError("snapshot data and decomposition use different time grids")
 
 
-def _gather(A: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    return np.take_along_axis(A, idx, axis=1)
-
-
 def _mode_rolls(modes: np.ndarray) -> np.ndarray:
     """Stack of rolled mode vectors, shape (r, 4, n): entry [i, d, l] = phi_i[(l + delta_d) % n]."""
     return np.stack(
@@ -188,37 +186,16 @@ def _mode_rolls(modes: np.ndarray) -> np.ndarray:
     )
 
 
-def _bands_dot_rolls(bands: np.ndarray, rolls_i: np.ndarray) -> np.ndarray:
-    """Rows ``F(p_k) phi`` in the co-moving alignment: (m+1, 4) @ (4, n)."""
-    return bands @ rolls_i
-
-
-def _apply_bands_rows(bands: np.ndarray, qs: np.ndarray, A: np.ndarray, idx_cache: dict) -> np.ndarray:
-    """Row-wise products ``F(p_k) A[k]`` for a time-varying band family."""
+def _apply_bands_rows(
+    bands: np.ndarray, qs: np.ndarray, A: np.ndarray, transpose: bool = False
+) -> np.ndarray:
+    """Row-wise products ``F(p_k) A[k]`` for a time-varying band family, or
+    with ``transpose`` the exact transposes ``F(p_k)^T A[k]``."""
+    sign = 1 if transpose else -1
     out = np.zeros_like(A)
     for dlt, b in zip(BAND_OFFSETS, bands.T):
-        out += b[:, None] * np.roll(A, -dlt, axis=1)
-    key = ("minus", qs.tobytes())
-    idx = idx_cache.get(key)
-    if idx is None:
-        cols = np.arange(A.shape[1])
-        idx = (cols[None, :] - qs[:, None]) % A.shape[1]
-        idx_cache[key] = idx
-    return _gather(out, idx)
-
-
-def _apply_bands_rows_T(bands: np.ndarray, qs: np.ndarray, A: np.ndarray, idx_cache: dict) -> np.ndarray:
-    """Row-wise products ``F(p_k)^T A[k]`` (exact transpose of the band action)."""
-    out = np.zeros_like(A)
-    for dlt, b in zip(BAND_OFFSETS, bands.T):
-        out += b[:, None] * np.roll(A, dlt, axis=1)
-    key = ("plus", qs.tobytes())
-    idx = idx_cache.get(key)
-    if idx is None:
-        cols = np.arange(A.shape[1])
-        idx = (cols[None, :] + qs[:, None]) % A.shape[1]
-        idx_cache[key] = idx
-    return _gather(out, idx)
+        out += b[:, None] * np.roll(A, sign * dlt, axis=1)
+    return roll_rows(out, -sign * qs)
 
 
 class _Workspace:
@@ -226,16 +203,12 @@ class _Workspace:
 
     def __init__(self, z: SnapshotSet, d: Decomposition):
         _check_same_grids(z, d)
-        self.z = z
         self.d = d
         grid = d.grid
-        self.n = grid.n
         self.h = grid.h
         self.times = d.tgrid.times
         self.w = d.tgrid.weights
         self.Z = z.values
-        self.cols = np.arange(self.n)
-        self.idx_cache: dict = {}
         self.F0 = gram_F(0.0, grid)
         self.G0 = gram_G(0.0, grid)
         self.pvals = [path_values(f.path, self.times) for f in d.frames]
@@ -246,15 +219,7 @@ class _Workspace:
         self.rolls = [_mode_rolls(f.modes) for f in d.frames]
         self.U = [f.coeffs @ f.modes for f in d.frames]
         # data rows aligned with each frame's whole-cell offset
-        self.Zrot = [self._plus_gather(self.Z, q) for q in self.qs]
-
-    def _plus_gather(self, A: np.ndarray, qs: np.ndarray) -> np.ndarray:
-        key = ("plus", qs.tobytes())
-        idx = self.idx_cache.get(key)
-        if idx is None:
-            idx = (self.cols[None, :] + qs[:, None]) % self.n
-            self.idx_cache[key] = idx
-        return _gather(A, idx)
+        self.Zrot = [roll_rows(self.Z, -q) for q in self.qs]
 
     def rel_shift(self, a: int, b: int) -> tuple[np.ndarray, np.ndarray]:
         """Offsets and F bands of the relative shift ``p_a - p_b``."""
@@ -295,22 +260,20 @@ class _Workspace:
                     continue
                 qd, frd = cross[fi, fj]
                 cross_rot[fj] = (
-                    self._plus_gather(self.U[fj], qd),
+                    roll_rows(self.U[fj], -qd),
                     _band_F(frd, self.h),
                     _band_G(frd, self.h) if want_grad else None,
                 )
+            # rows F(p_k) phi_i in the co-moving alignment: (m+1, 4) @ (4, n)
             for i in range(r):
-                Cf = _bands_dot_rolls(self.Fbands[fi], self.rolls[fi][i])
-                fz[:, i] = np.einsum("kl,kl->k", self.Zrot[fi], Cf)
+                rolls = self.rolls[fi][i]
+                fz[:, i] = np.einsum("kl,kl->k", self.Zrot[fi], self.Fbands[fi] @ rolls)
                 if want_grad:
-                    Cg = _bands_dot_rolls(self.Gbands[fi], self.rolls[fi][i])
-                    gz[:, i] = np.einsum("kl,kl->k", self.Zrot[fi], Cg)
+                    gz[:, i] = np.einsum("kl,kl->k", self.Zrot[fi], self.Gbands[fi] @ rolls)
                 for fj, (Urot, fbd, gbd) in cross_rot.items():
-                    Cfd = _bands_dot_rolls(fbd, self.rolls[fi][i])
-                    rmat[:, i] += np.einsum("kl,kl->k", Urot, Cfd)
+                    rmat[:, i] += np.einsum("kl,kl->k", Urot, fbd @ rolls)
                     if want_grad:
-                        Cgd = _bands_dot_rolls(gbd, self.rolls[fi][i])
-                        rnmat[:, i] += np.einsum("kl,kl->k", Urot, Cgd)
+                        rnmat[:, i] += np.einsum("kl,kl->k", Urot, gbd @ rolls)
             FZ.append(fz)
             GZ.append(gz)
             R.append(rmat)
@@ -335,10 +298,8 @@ class _Workspace:
             if fj == fi:
                 continue
             qd, frd = self.rel_shift(fj, fi)
-            row = row + _apply_bands_rows(
-                _band_F(frd, self.h), qd, self.U[fj], self.idx_cache
-            )
-        row = row - _apply_bands_rows_T(self.Fbands[fi], self.qs[fi], self.Z, self.idx_cache)
+            row = row + _apply_bands_rows(_band_F(frd, self.h), qd, self.U[fj])
+        row = row - _apply_bands_rows(self.Fbands[fi], self.qs[fi], self.Z, transpose=True)
         return (self.w[:, None] * f.coeffs).T @ row
 
 
@@ -348,18 +309,10 @@ def reconstruct(d: Decomposition) -> SnapshotSet:
     Row ``k`` is the sum over frames and modes of
     ``coeffs[k, i] * shift_field(p(t_k), mode_i)``.
     """
-    n = d.grid.n
     times = d.tgrid.times
-    cols = np.arange(n)
-    out = np.zeros((times.size, n))
+    out = np.zeros((times.size, d.grid.n))
     for f in d.frames:
-        pv = path_values(f.path, times)
-        qs, frac = _decompose_many(pv, d.grid)
-        theta = (frac / d.grid.h)[:, None]
-        U = f.coeffs @ f.modes
-        idx0 = (cols[None, :] - qs[:, None]) % n
-        idx1 = (idx0 - 1) % n
-        out += (1.0 - theta) * _gather(U, idx0) + theta * _gather(U, idx1)
+        out += shift_rows(f.coeffs @ f.modes, path_values(f.path, times), d.grid)
     return SnapshotSet(d.grid, d.tgrid, out)
 
 

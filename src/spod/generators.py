@@ -11,7 +11,7 @@ import numpy as np
 
 from .core import SnapshotSet, SpatialGrid, TimeGrid, make_uniform_time_grid
 from .cost_grad import Decomposition, Frame, PathRepr
-from .shift_fem import shift_field
+from .shift_fem import shift_rows
 
 __all__ = [
     "BurgersParams",
@@ -232,8 +232,7 @@ def synthetic_traveling(
             raise ValueError(f"profile shape must have {grid.n} nodes")
         amps = prof.amplitudes(times)
         pv = prof.speed * times
-        for k in range(times.size):
-            values[k] += amps[k] * shift_field(pv[k], shape, grid)
+        values += amps[:, None] * shift_rows(np.tile(shape, (times.size, 1)), pv, grid)
         frames.append(
             Frame(PathRepr.nodal(pv), shape[None, :], amps[:, None])
         )

@@ -4,11 +4,13 @@ Two drivers share one L-BFGS core:
 
 * :func:`optimize_decomposition` minimizes the (optionally penalized) cost
   over any subset of {coefficients, paths, modes}.
-* :func:`optimize_path_only` minimizes the reduced objective in the path
-  alone: at each path the coefficients and modes are recomputed exactly by a
-  truncated weighted SVD of the data shifted into the co-moving frame (the
-  shift is an isometry), and the outer gradient is the partial path gradient
-  at that inner minimizer, which is exact by the envelope argument.
+* :func:`optimize_path_only` minimizes a reduced objective in the path
+  alone: at each path the coefficients and modes are recomputed by a
+  truncated weighted SVD of the data shifted into the co-moving frame.  The
+  nodal shift interpolates and is not an isometry, so that objective is not
+  the reconstructed-frame cost, and the outer gradient is the partial path
+  gradient of the reconstructed-frame cost at the inner solution, not the
+  gradient of the objective being minimized.
 
 Everything is deterministic: no randomized initialization anywhere.
 """
@@ -20,7 +22,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .baseline_pod import _apply_symbol, _mass_symbol
+from .baseline_pod import _weighted_svd
 from .core import SnapshotSet
 from .cost_grad import (
     CostGradient,
@@ -33,7 +35,7 @@ from .cost_grad import (
     path_values,
     penalty_value,
 )
-from .shift_fem import _decompose_many
+from .shift_fem import shift_rows
 
 __all__ = [
     "VARIABLE_GROUPS",
@@ -353,20 +355,6 @@ def optimize_decomposition(
     )
 
 
-def _comoving_snapshots(z: SnapshotSet, pv: np.ndarray) -> np.ndarray:
-    """Shift each snapshot by ``-p(t_k)`` (into the co-moving frame)."""
-    n = z.grid.n
-    qs, frac = _decompose_many(-pv, z.grid)
-    theta = (frac / z.grid.h)[:, None]
-    cols = np.arange(n)
-    idx0 = (cols[None, :] - qs[:, None]) % n
-    idx1 = (idx0 - 1) % n
-    Z = z.values
-    return (1.0 - theta) * np.take_along_axis(Z, idx0, axis=1) + theta * np.take_along_axis(
-        Z, idx1, axis=1
-    )
-
-
 def optimize_path_only(
     z: SnapshotSet,
     path0: PathRepr,
@@ -381,15 +369,15 @@ def optimize_path_only(
     there, and the reduced cost is half the energy of the discarded singular
     values.  Because the nodal shift is interpolatory rather than exactly
     isometric, the residual is measured in the co-moving frame; the gap to
-    the reconstructed-frame cost is reported as ``isometry_defect`` (O(h^2)).
+    the reconstructed-frame cost is reported as ``isometry_defect``.  It is
+    not small in general: on the FitzHugh-Nagumo wave train (r = 4, h = 0.5,
+    acceptance criterion 5) it measures 3.4.
     """
     nt, n = z.values.shape
     if not 1 <= r <= min(nt, n):
         raise ValueError(f"rank {r} out of range for {nt} x {n} data")
     times = z.tgrid.times
     sqw = np.sqrt(z.tgrid.weights)
-    symbol = _mass_symbol(z.grid)
-    sq = np.sqrt(symbol)
     if path0.kind == "nodal" and path0.values.size != nt:
         raise ValueError(f"nodal path has {path0.values.size} samples, expected {nt}")
     vander = (
@@ -401,12 +389,10 @@ def optimize_path_only(
     def inner(x: np.ndarray) -> tuple[float, Decomposition]:
         path = PathRepr(path0.kind, x)
         pv = path_values(path, times)
-        Zt = _comoving_snapshots(z, pv)
-        B = sqw[:, None] * _apply_symbol(Zt, sq)
-        U, s, Vt = np.linalg.svd(B, full_matrices=False)
+        comoving = shift_rows(z.values, -pv, z.grid)
+        U, s, modes = _weighted_svd(comoving, z.grid, z.tgrid.weights, r)
         cost = 0.5 * float(np.dot(s[r:], s[r:]))
-        modes = _apply_symbol(Vt[:r], 1.0 / sq)
-        coeffs = (U[:, :r] * s[:r]) / sqw[:, None]
+        coeffs = (U * s[:r]) / sqw[:, None]
         frame = Frame(path, modes, coeffs)
         return cost, Decomposition((frame,), z.grid, z.tgrid)
 

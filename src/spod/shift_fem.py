@@ -19,10 +19,9 @@ two-path Grams reduce to ``M(p_i, p_j) = F(p_i - p_j)`` and
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Union
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import SpatialGrid, _frozen_array
 
@@ -36,7 +35,8 @@ __all__ = [
     "stiffness_gram",
     "apply_gram",
     "gram_to_dense",
-    "dump_dense_csv",
+    "roll_rows",
+    "shift_rows",
     "shift_field",
     "eval_p1",
     "quadrature_inner_oracle",
@@ -179,25 +179,37 @@ def gram_to_dense(gram: ShiftGram) -> np.ndarray:
     return dense
 
 
-def dump_dense_csv(gram: ShiftGram, destination: Union[str, Path]) -> None:
-    """Dump the dense matrix as CSV (debug tooling)."""
-    np.savetxt(destination, gram_to_dense(gram), delimiter=",", fmt="%.17g")
+def roll_rows(A: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Rotate each row by its own whole number of cells:
+    ``out[k, l] = A[k, (l - q[k]) mod n]``.
+
+    Row ``k`` is a window into the row doubled end to end, so no index array
+    is built.
+    """
+    nt, n = A.shape
+    windows = sliding_window_view(np.concatenate([A, A], axis=1), n, axis=1)
+    return windows[np.arange(nt), np.mod(-np.asarray(q), n)]
+
+
+def shift_rows(A: np.ndarray, p: np.ndarray, grid: SpatialGrid) -> np.ndarray:
+    """Row-wise shift: row ``k`` of the result holds the nodal values of
+    ``T(p[k]) A[k]``, the periodic P1 interpolant of ``A[k]`` at ``x_l - p[k]``.
+
+    Exact (a pure index rotation) where ``p[k]`` is a whole number of cells.
+    """
+    q, frac = _decompose_many(np.asarray(p, dtype=float), grid)
+    theta = (frac / grid.h)[:, None]
+    return (1.0 - theta) * roll_rows(A, q) + theta * roll_rows(A, q + 1)
 
 
 def shift_field(p: float, v: np.ndarray, grid: SpatialGrid) -> np.ndarray:
-    """Nodal values of ``T(p) v``: the periodic P1 interpolant of ``v``
-    evaluated at ``x_l - p``.
-
-    Exact (a pure index rotation) when ``p`` is a whole number of cells.
-    """
+    """Nodal values of ``T(p) v`` for one shift; ``v`` is one field or a 2-D
+    array of fields, one per row."""
     v = np.asarray(v, dtype=float)
     if v.shape[-1] != grid.n:
         raise ValueError(f"vector length {v.shape[-1]} does not match n={grid.n}")
-    q, frac = decompose_shift(p, grid)
-    theta = frac / grid.h
-    if theta == 0.0:
-        return np.roll(v, q, axis=-1)
-    return (1.0 - theta) * np.roll(v, q, axis=-1) + theta * np.roll(v, q + 1, axis=-1)
+    rows = np.atleast_2d(v)
+    return shift_rows(rows, np.full(rows.shape[0], float(p)), grid).reshape(v.shape)
 
 
 def eval_p1(v: np.ndarray, grid: SpatialGrid, x: np.ndarray) -> np.ndarray:

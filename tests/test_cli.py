@@ -1,11 +1,16 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import spod
 from spod.cli import main
 from spod.core import SpatialGrid, load_snapshots, make_uniform_time_grid, save_snapshots
-from spod.generators import TravelingProfile, synthetic_traveling
+from spod.generators import BurgersParams, TravelingProfile, burgers_analytic, synthetic_traveling
 
 
 @pytest.fixture
@@ -288,3 +293,92 @@ class TestExportHeatmap:
         _save_decomposition(d, again)
         assert again.read_bytes() == dec.read_bytes()
         reconstruct(d)  # loaded object is well-formed
+
+
+def _stderr_lines(capsys) -> list[str]:
+    return capsys.readouterr().err.strip().splitlines()
+
+
+class TestMalformedInput:
+    """Broken input files end in exit 3 with one stderr line naming the line."""
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda text: text[:3000],
+            lambda text: text.replace("nframes=1", "nframes", 1),
+            lambda text: text.replace("length=1", "length=nan", 1),
+            lambda text: text.replace("length=1", "length=inf", 1),
+            lambda text: text.replace("nframes=1", "nframes=2", 1),
+            lambda text: text.replace("path_kind=", "kind=", 1),
+            lambda text: text.replace("modes=2 60", "modes=2", 1),
+            lambda text: text.replace("\ncoeffs=", " x\ncoeffs=", 1),
+        ],
+        ids=["cut", "token-without-=", "length-nan", "length-inf", "missing-frame",
+             "wrong-key", "short-shape", "bad-row"],
+    )
+    def test_decomposition_file(self, tmp_path, capsys, corrupt):
+        z = burgers_analytic(BurgersParams(nx_intervals=60, nt_intervals=40))
+        data = tmp_path / "b.spod"
+        save_snapshots(z, data)
+        good = tmp_path / "good.decomp"
+        assert main(["pod", str(data), "--r", "2", "-o", str(good)]) == 0
+        text = good.read_text()
+        assert len(text) > 3000
+        bad = tmp_path / "bad.decomp"
+        bad.write_text(corrupt(text))
+        capsys.readouterr()
+        assert main(["compare", str(data), "--decomp", str(bad)]) == 3
+        err = _stderr_lines(capsys)
+        assert len(err) == 1 and err[0].startswith(f"error: {bad}: line ")
+
+    @pytest.mark.parametrize(
+        "header",
+        ["nt 21 nx 40 length nan tfinal 1", "nt 21 nx 40 length inf tfinal 1",
+         "nt 21 nx 40 length 1 tfinal inf", "nt 21 nx 40 length -inf tfinal 1"],
+    )
+    def test_snapshot_file(self, tmp_path, capsys, exact_fixture_file, header):
+        src, _ = exact_fixture_file
+        lines = src.read_text().splitlines()
+        lines[1] = header
+        bad = tmp_path / "bad.spod"
+        bad.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["pod", str(bad), "--r", "1", "-o", str(tmp_path / "p.decomp")]) == 3
+        err = _stderr_lines(capsys)
+        assert len(err) == 1 and err[0].startswith(f"error: {bad}: line 2: ")
+
+    @pytest.mark.parametrize("command", ["pod", "export-heatmap"])
+    def test_non_utf8_file(self, tmp_path, capsys, command):
+        bad = tmp_path / "bad.spod"
+        bad.write_bytes(b"# spod-v1\nnt 2 nx 3 length 1 tfinal 1\n\xff\xfe 0 0\n0 0 0\n")
+        argv = [command, str(bad), "-o", str(tmp_path / "out")]
+        capsys.readouterr()
+        assert main(argv + (["--r", "1"] if command == "pod" else [])) == 3
+        assert len(_stderr_lines(capsys)) == 1
+
+
+def test_outputs_identical_across_blas_thread_counts(tmp_path):
+    """The byte-for-byte rerun claim holds with one and with two BLAS threads."""
+    data = tmp_path / "burgers.spod"
+    save_snapshots(burgers_analytic(), data)
+    src_dir = str(Path(spod.__file__).resolve().parents[1])
+    commands = {
+        "full": ["decompose", data, "--frames", "r=2,path=linear:0.185", "--iters", "300"],
+        "path-only": ["decompose", data, "--mode", "path-only", "--r", "3",
+                      "--frames", "r=3,path=linear:0.185", "--iters", "30"],
+        "pod": ["pod", data, "--r", "3"],
+    }
+    outputs = {}
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src_dir, env.get("PYTHONPATH")]))
+        for name, argv in commands.items():
+            out = tmp_path / f"{name}-{threads}.decomp"
+            subprocess.run(
+                [sys.executable, "-m", "spod.cli", *map(str, argv), "-o", str(out)],
+                env=env, check=True, capture_output=True,
+            )
+            outputs[name, threads] = out.read_bytes()
+    for name in commands:
+        assert outputs[name, "1"] == outputs[name, "2"], name

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from spod.core import SpatialGrid
+from spod.core import SpatialGrid, make_uniform_time_grid
+from spod.generators import TravelingProfile, synthetic_traveling
 from spod.shift_fem import (
     BAND_OFFSETS,
     apply_gram,
@@ -14,7 +15,9 @@ from spod.shift_fem import (
     gram_to_dense,
     quadrature_inner_dp_oracle,
     quadrature_inner_oracle,
+    roll_rows,
     shift_field,
+    shift_rows,
     stiffness_gram,
 )
 
@@ -159,6 +162,89 @@ class TestShiftField:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             shift_field(0.1, np.ones(3), GRID)
+
+
+class TestRollRows:
+    NT, N = 7, 12
+
+    @pytest.mark.parametrize(
+        "offsets",
+        [
+            lambda rng, nt, n: np.zeros(nt, dtype=np.int64),
+            lambda rng, nt, n: np.full(nt, n - 1),
+            lambda rng, nt, n: rng.integers(-3 * n, 0, nt),
+            lambda rng, nt, n: rng.integers(n, 3 * n, nt),
+        ],
+        ids=["zero", "n-1", "negative", "beyond-n"],
+    )
+    def test_matches_per_row_roll(self, rng, offsets):
+        A = rng.standard_normal((self.NT, self.N))
+        q = offsets(rng, self.NT, self.N)
+        expected = np.stack([np.roll(row, qk) for row, qk in zip(A, q)])
+        assert roll_rows(A, q).tobytes() == expected.tobytes()
+
+
+class TestShiftRows:
+    GRID = SpatialGrid(16, 1.0)
+
+    def _check_against_interpolant(self, rng, p):
+        grid = self.GRID
+        # values in [0, 0.5) bound the node-to-node jumps by 0.5, so snapping
+        # a shift within ~1e-12 h of a node moves a value by at most ~5e-13
+        A = rng.uniform(0.0, 0.5, (p.size, grid.n))
+        out = shift_rows(A, p, grid)
+        for k in range(p.size):
+            expected = eval_p1(A[k], grid, grid.nodes - p[k])
+            assert np.max(np.abs(out[k] - expected)) <= 1e-12
+
+    def test_shifts_far_beyond_the_domain(self, rng):
+        self._check_against_interpolant(rng, rng.uniform(50.0, 100.0, 9) * self.GRID.length)
+
+    def test_negative_shifts(self, rng):
+        self._check_against_interpolant(rng, rng.uniform(-3.0, 0.0, 9) * self.GRID.length)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_shifts_inside_the_snap_band(self, rng, sign):
+        h = self.GRID.h
+        cells = np.arange(-4, 2 * self.GRID.n)
+        self._check_against_interpolant(rng, cells * h + sign * 1e-12 * h)
+
+    def test_whole_cells_are_rotations(self, rng):
+        A = rng.standard_normal((5, self.GRID.n))
+        q = np.array([0, 1, 5, -3, 17])
+        assert np.array_equal(shift_rows(A, q * self.GRID.h, self.GRID), roll_rows(A, q))
+
+
+def _per_row_shift_field_reference(profiles, grid, tgrid):
+    """synthetic_traveling as one whole-or-blended rotation per row."""
+    times = tgrid.times
+    values = np.zeros((times.size, grid.n))
+    for prof in profiles:
+        shape = np.asarray(prof.shape, dtype=float)
+        amps = prof.amplitudes(times)
+        pv = prof.speed * times
+        for k in range(times.size):
+            q, frac = decompose_shift(pv[k], grid)
+            theta = frac / grid.h
+            if theta == 0.0:
+                row = np.roll(shape, q)
+            else:
+                row = (1.0 - theta) * np.roll(shape, q) + theta * np.roll(shape, q + 1)
+            values[k] += amps[k] * row
+    return values
+
+
+@pytest.mark.parametrize("speeds", [(0.25, -0.5), (0.4137, -0.2871), (1.09, 0.0)])
+def test_synthetic_traveling_matches_per_row_reference(rng, speeds):
+    grid = SpatialGrid(64, 1.0)
+    tgrid = make_uniform_time_grid(32, 1.0)
+    profiles = [
+        TravelingProfile(rng.standard_normal(grid.n), speeds[0], lambda t: 1.0 + 0.3 * np.sin(t)),
+        TravelingProfile(rng.standard_normal(grid.n), speeds[1], -0.7),
+    ]
+    z, _ = synthetic_traveling(profiles, grid, tgrid)
+    expected = _per_row_shift_field_reference(profiles, grid, tgrid)
+    assert z.values.tobytes() == expected.tobytes()
 
 
 class TestQuadratureOracle:
