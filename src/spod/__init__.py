@@ -25,6 +25,7 @@ from .cost_grad import (
     eval_cost,
     eval_cost_gradient,
     eval_penalized_cost,
+    penalty_gradient,
     penalty_value,
     reconstruct,
 )

@@ -44,6 +44,7 @@ __all__ = [
     "eval_cost",
     "eval_cost_gradient",
     "penalty_value",
+    "penalty_gradient",
     "eval_penalized_cost",
     "data_norm_sq",
 ]
@@ -375,6 +376,50 @@ def _discrete_h1_norm_sq(pv: np.ndarray, tgrid: TimeGrid) -> float:
     return float(np.dot(w, pv**2) + np.dot(w, pdot**2))
 
 
+def _gradient_transpose(v: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """``D^T v`` for the linear map ``D`` of ``np.gradient(., times)``.
+
+    ``D`` is the second-order three-point stencil at interior nodes and the
+    one-sided difference at both ends; its transpose is applied stencil by
+    stencil, never as a dense matrix.
+    """
+    dt = np.diff(times)
+    hs, hd = dt[:-1], dt[1:]
+    out = np.zeros_like(v)
+    vi = v[1:-1]
+    out[:-2] -= hd / (hs * (hs + hd)) * vi
+    out[1:-1] += (hd - hs) / (hs * hd) * vi
+    out[2:] += hs / (hd * (hs + hd)) * vi
+    out[0] -= v[0] / dt[0]
+    out[1] += v[0] / dt[0]
+    out[-2] -= v[-1] / dt[-1]
+    out[-1] += v[-1] / dt[-1]
+    return out
+
+
+def _penalty_norms(d: Decomposition, C: float):
+    """Per frame: path samples, ``(F(0)+K)`` applied to the modes, and per mode
+    the (coefficient L2, path H1, mode H1) norms the penalty bounds by ``C``."""
+    if not C > 0:
+        raise ValueError(f"penalty bound must be positive, got C={C}")
+    w = d.tgrid.weights
+    stiff = stiffness_gram(d.grid)
+    F0 = gram_F(0.0, d.grid)
+    out = []
+    for f in d.frames:
+        pv = path_values(f.path, d.tgrid.times)
+        path_norm = math.sqrt(_discrete_h1_norm_sq(pv, d.tgrid))
+        ymodes = apply_gram(F0, f.modes) + apply_gram(stiff, f.modes)
+        mode_sq = np.einsum("il,il->i", f.modes, ymodes)
+        coeff_sq = np.einsum("ki,k->i", f.coeffs**2, w)
+        norms = [
+            (math.sqrt(coeff_sq[i]), path_norm, math.sqrt(max(mode_sq[i], 0.0)))
+            for i in range(f.r)
+        ]
+        out.append((pv, ymodes, norms))
+    return out
+
+
 def penalty_value(d: Decomposition, C: float) -> float:
     """Admissible-set penalty: per (frame, mode) pair, how far the largest of
     the coefficient L2, path H1, and mode H1 norms exceeds the bound ``C``.
@@ -382,25 +427,54 @@ def penalty_value(d: Decomposition, C: float) -> float:
     Zero exactly on the admissible set; the shared frame path enters once per
     mode of its frame.
     """
-    if not C > 0:
-        raise ValueError(f"penalty bound must be positive, got C={C}")
-    w = d.tgrid.weights
-    stiff = stiffness_gram(d.grid)
-    F0 = gram_F(0.0, d.grid)
     total = 0.0
-    for f in d.frames:
-        pv = path_values(f.path, d.tgrid.times)
-        path_norm = math.sqrt(_discrete_h1_norm_sq(pv, d.tgrid))
-        mode_sq = np.einsum(
-            "il,il->i", f.modes, apply_gram(F0, f.modes) + apply_gram(stiff, f.modes)
-        )
-        coeff_sq = np.einsum("ki,k->i", f.coeffs**2, w)
-        for i in range(f.r):
-            largest = max(
-                math.sqrt(coeff_sq[i]), path_norm, math.sqrt(max(mode_sq[i], 0.0))
-            )
-            total += max(0.0, largest - C)
+    for _, _, norms in _penalty_norms(d, C):
+        for triple in norms:
+            total += max(0.0, max(triple) - C)
     return total
+
+
+def penalty_gradient(d: Decomposition, C: float) -> CostGradient:
+    """The penalty (bitwise :func:`penalty_value`) and its closed-form subgradient.
+
+    Each (frame, mode) pair whose largest norm exceeds ``C`` contributes the
+    gradient of that norm: ``w a_i / |a_i|_w`` in coefficient column ``i``,
+    ``(F(0)+K) phi_i / |phi_i|_Y`` in mode row ``i``, or
+    ``(w p + D^T (w p')) / |p|_H1`` in the path, once per such mode of the
+    frame (``D`` is the map of ``np.gradient``; polynomial paths go through
+    the transposed Vandermonde).  Ties between norms resolve to the first of
+    (coefficients, path, mode).  Pairs at or below ``C`` contribute exact
+    zeros.
+    """
+    times, w = d.tgrid.times, d.tgrid.weights
+    total = 0.0
+    g_coeffs, g_paths, g_modes = [], [], []
+    for f, (pv, ymodes, norms) in zip(d.frames, _penalty_norms(d, C)):
+        gc = np.zeros(f.coeffs.shape)
+        gm = np.zeros(f.modes.shape)
+        gp = np.zeros(f.path.values.size)
+        path_scale = 0.0  # sum of 1/|p|_H1 over the modes whose path norm is active
+        for i, triple in enumerate(norms):
+            largest = max(triple)
+            total += max(0.0, largest - C)
+            if not largest > C:
+                continue
+            active = triple.index(largest)
+            if active == 0:
+                gc[:, i] = w * f.coeffs[:, i] / largest
+            elif active == 1:
+                path_scale += 1.0 / largest
+            else:
+                gm[i] = ymodes[i] / largest
+        if path_scale:
+            pdot = np.gradient(pv, times)
+            gp = path_scale * (w * pv + _gradient_transpose(w * pdot, times))
+            if f.path.kind == "polynomial":
+                gp = np.vander(times, f.path.values.size, increasing=True).T @ gp
+        g_coeffs.append(gc)
+        g_paths.append(gp)
+        g_modes.append(gm)
+    return CostGradient(total, tuple(g_coeffs), tuple(g_paths), tuple(g_modes))
 
 
 def eval_penalized_cost(

@@ -33,7 +33,7 @@ from .cost_grad import (
     eval_cost_gradient,
     path_gradient_nodal,
     path_values,
-    penalty_value,
+    penalty_gradient,
 )
 from .shift_fem import shift_rows
 
@@ -65,7 +65,8 @@ class OptimizerConfig:
     """Settings for the quasi-Newton drivers.
 
     ``variables`` selects which blocks are optimized; ``C`` and ``lam`` steer
-    the admissible-set penalty (``lam = 0`` disables it, the default).
+    the admissible-set penalty (``lam = 0`` disables it, the default).  Its
+    subgradient is closed form, at the cost of one penalty evaluation.
     """
 
     max_iters: int = 500
@@ -218,9 +219,13 @@ def lbfgs_minimize(
     """Two-loop-recursion L-BFGS with Armijo backtracking.
 
     Terminates when the gradient infinity norm drops to ``grad_tol``, after
-    ``max_iters`` accepted steps, or when a line search fails 60 backtracks
-    in a row (retried once from a cleared memory before giving up).  The cost
-    trace is nonincreasing by construction.
+    ``max_iters`` accepted steps, or when a line search fails: 60 backtracks
+    in a row, or a step that no longer moves ``x`` (retried once from a
+    cleared memory before giving up).  A step is accepted only if it lowers
+    the cost as well as meeting the Armijo rule, so the cost trace is
+    strictly decreasing, and once the Armijo decrease rounds away against
+    the cost the search ends instead of taking steps that leave the cost
+    unchanged.
     """
     x = np.array(x0, dtype=float)
     f, g = objective(x)
@@ -249,7 +254,9 @@ def lbfgs_minimize(
 
             def _search(direction, gd):
                 def _accepts(step, fn):
-                    return np.isfinite(fn) and fn <= f + cfg.armijo_c * step * gd
+                    return (
+                        np.isfinite(fn) and fn < f and fn <= f + cfg.armijo_c * step * gd
+                    )
 
                 step = cfg.initial_step
                 for bt in range(MAX_BACKTRACKS):
@@ -306,24 +313,6 @@ def lbfgs_minimize(
     return x, history
 
 
-def _penalty_fd_subgradient(
-    d0: Decomposition, x: np.ndarray, variables: Sequence[str], C: float
-) -> np.ndarray:
-    """Central-difference subgradient of the (nonsmooth) penalty."""
-    out = np.zeros_like(x)
-    for i in range(x.size):
-        step = 1e-7 * max(1.0, abs(x[i]))
-        xp = x.copy()
-        xp[i] += step
-        xm = x.copy()
-        xm[i] -= step
-        out[i] = (
-            penalty_value(unpack(xp, d0, variables), C)
-            - penalty_value(unpack(xm, d0, variables), C)
-        ) / (2.0 * step)
-    return out
-
-
 def optimize_decomposition(
     z: SnapshotSet,
     d0: Decomposition,
@@ -331,7 +320,12 @@ def optimize_decomposition(
     callback: Optional[ProgressCallback] = None,
 ) -> OptimizerResult:
     """Minimize the (penalized) cost over the selected variable blocks,
-    starting from the supplied decomposition."""
+    starting from the supplied decomposition.
+
+    With ``cfg.lam > 0`` each objective evaluation adds one
+    :func:`~spod.cost_grad.penalty_gradient` call: the penalty and its
+    closed-form subgradient, at the cost of one penalty evaluation.
+    """
     variables = cfg.variables
     x0 = pack(d0, variables)
 
@@ -341,8 +335,9 @@ def optimize_decomposition(
         value = grad.value
         gx = pack_gradient(grad, d, variables)
         if cfg.lam > 0.0:
-            value += cfg.lam * penalty_value(d, cfg.C)
-            gx = gx + cfg.lam * _penalty_fd_subgradient(d0, x, variables, cfg.C)
+            pen = penalty_gradient(d, cfg.C)
+            value += cfg.lam * pen.value
+            gx = gx + cfg.lam * pack_gradient(pen, d, variables)
         return value, gx
 
     xs, hist = lbfgs_minimize(objective, x0, cfg, callback)

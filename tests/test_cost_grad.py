@@ -10,6 +10,7 @@ from spod.cost_grad import (
     eval_cost,
     eval_cost_gradient,
     eval_penalized_cost,
+    penalty_gradient,
     penalty_value,
     reconstruct,
 )
@@ -203,7 +204,102 @@ class TestGradient:
         assert np.max(np.abs(g_poly - V.T @ g_nodal)) < 1e-13
 
 
+def penalty_fd_subgradient(d0, x, variables, C):
+    """Central-difference subgradient of the penalty in the packed variables."""
+    out = np.zeros_like(x)
+    for i in range(x.size):
+        step = 1e-7 * max(1.0, abs(x[i]))
+        xp = x.copy()
+        xp[i] += step
+        xm = x.copy()
+        xm[i] -= step
+        out[i] = (
+            penalty_value(unpack(xp, d0, variables), C)
+            - penalty_value(unpack(xm, d0, variables), C)
+        ) / (2.0 * step)
+    return out
+
+
+def penalty_instance(rng, active):
+    """Two two-mode frames for C = 1, every norm well below 1 except:
+    frame 0's ``active`` norm (about 2-3), and in frame 1 the coefficient
+    norm of mode 0 and the mode norm of mode 1."""
+    nt = TG.m + 1
+    t = TG.times
+    smooth = np.sin(2 * np.pi * GRID.nodes)
+
+    def small():
+        return 0.01 * rng.standard_normal((2, GRID.n)), 0.1 * rng.standard_normal((nt, 2))
+
+    modes, coeffs = small()
+    path = PathRepr.nodal(0.01 * rng.standard_normal(nt))
+    if active == "coeffs":
+        coeffs[:, 0] *= 30.0
+    elif active == "modes":
+        modes[1] += 2.5 * smooth
+    elif active == "nodal-path":
+        path = PathRepr.nodal(2.5 + 0.3 * np.sin(2 * np.pi * t) + 0.01 * rng.standard_normal(nt))
+    else:
+        path = PathRepr.polynomial(np.array([2.0, 1.0, -0.5]) + 0.01 * rng.standard_normal(3))
+    frame0 = Frame(path, modes, coeffs)
+    modes, coeffs = small()
+    coeffs[:, 0] *= 30.0
+    modes[1] += 2.5 * smooth
+    frame1 = Frame(PathRepr.nodal(0.01 * rng.standard_normal(nt)), modes, coeffs)
+    return Decomposition((frame0, frame1), GRID, TG)
+
+
 class TestPenalty:
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize(
+        "variables", [("coeffs", "paths", "modes"), ("paths",), ("modes", "coeffs")]
+    )
+    @pytest.mark.parametrize("active", ["coeffs", "nodal-path", "polynomial-path", "modes"])
+    def test_gradient_matches_central_differences(self, active, variables, seed):
+        d = penalty_instance(np.random.default_rng(seed), active)
+        pen = penalty_gradient(d, 1.0)
+        # the intended norm is the active one in frame 0, and only there
+        blocks = {"coeffs": pen.g_coeffs[0], "path": pen.g_paths[0], "modes": pen.g_modes[0]}
+        for name, block in blocks.items():
+            assert np.any(block != 0.0) == active.endswith(name)
+        analytic = pack_gradient(pen, d, variables)
+        fd = penalty_fd_subgradient(d, pack(d, variables), variables, 1.0)
+        assert np.max(np.abs(analytic - fd)) <= 1e-6 * np.max(np.abs(fd))
+
+    def test_gradient_exact_zeros_below_bound(self, rng):
+        _, d = random_instance(rng, 16, 8, [2, 1], ["nodal", "polynomial"])
+        pen = penalty_gradient(d, 1e3)
+        assert pen.value == 0.0
+        for block in pen.g_coeffs + pen.g_paths + pen.g_modes:
+            assert np.all(block == 0.0) and not np.any(np.signbit(block))
+
+    def test_gradient_zero_at_bound(self):
+        from spod.cost_grad import _penalty_norms
+
+        d = penalty_instance(np.random.default_rng(0), "modes")
+        C = max(max(triple) for _, _, norms in _penalty_norms(d, 1.0) for triple in norms)
+        pen = penalty_gradient(d, C)
+        assert pen.value == 0.0
+        for block in pen.g_coeffs + pen.g_paths + pen.g_modes:
+            assert np.all(block == 0.0)
+
+    def test_gradient_value_is_penalty_value(self, rng):
+        for _ in range(50):
+            nf = int(rng.integers(1, 3))
+            _, d = random_instance(rng, 16, 8, [2] * nf, ["nodal", "polynomial"][:nf])
+            C = float(rng.uniform(0.5, 20.0))
+            assert penalty_gradient(d, C).value == penalty_value(d, C)
+
+    @pytest.mark.parametrize("uniform", [True, False])
+    def test_gradient_transpose_stencil(self, rng, uniform):
+        from spod.cost_grad import _gradient_transpose
+
+        nt = 11
+        t = np.linspace(0.0, 2.0, nt) if uniform else np.sort(rng.uniform(0.0, 2.0, nt))
+        v = rng.standard_normal(nt)
+        dense = np.gradient(np.eye(nt), t, axis=0).T @ v
+        assert np.max(np.abs(_gradient_transpose(v, t) - dense)) <= 1e-13
+
     def test_zero_inside_admissible_set(self):
         d = single_frame(
             PathRepr.nodal(np.full(TG.m + 1, 0.01)),

@@ -12,6 +12,7 @@ from spod.cost_grad import (
 )
 from spod.generators import TravelingProfile, synthetic_traveling
 from spod.optimizer import (
+    MAX_BACKTRACKS,
     OptimizerConfig,
     lbfgs_minimize,
     optimize_decomposition,
@@ -148,6 +149,21 @@ class TestLbfgs:
         _, hist = lbfgs_minimize(objective, rng.standard_normal(8), OptimizerConfig(max_iters=40))
         assert np.all(np.diff(hist.cost_history) <= 0)
 
+    def test_rounded_away_decrease_ends_the_search(self):
+        # near 1e20 a unit decrease rounds away: no step can lower the cost,
+        # and the Armijo test alone would accept every one of them
+        evals = 0
+
+        def objective(x):
+            nonlocal evals
+            evals += 1
+            return 1e20 + float(np.sum(x)), np.ones_like(x)
+
+        _, hist = lbfgs_minimize(objective, np.ones(3), OptimizerConfig(max_iters=1000))
+        assert hist.termination == "line-search-failure"
+        assert hist.iterations == 0
+        assert evals < 2 * MAX_BACKTRACKS + 2
+
 
 class TestOptimizeDecomposition:
     def test_truth_init_converges_immediately(self):
@@ -257,6 +273,33 @@ class TestOptimizeDecomposition:
         res = optimize_decomposition(z, d0, cfg)
         assert penalty_value(res.decomposition, 2.0) < penalty_value(d0, 2.0)
         assert np.all(np.diff(res.cost_history) <= 0)
+
+    def test_inactive_penalty_leaves_fit_unchanged(self):
+        from spod.cost_grad import penalty_value
+
+        z, dtrue = spike_fixture(n=16, m=8)
+        h = dtrue.grid.h
+        d0 = Decomposition(
+            tuple(
+                Frame(PathRepr.nodal(f.path.values + off * h), f.modes, f.coeffs)
+                for f, off in zip(dtrue.frames, (0.3, -0.2))
+            ),
+            dtrue.grid,
+            dtrue.tgrid,
+        )
+        C = 1e3  # far above every norm
+        plain = optimize_decomposition(z, d0, OptimizerConfig(max_iters=5, grad_tol=1e-12))
+        penalized = optimize_decomposition(
+            z, d0, OptimizerConfig(max_iters=5, grad_tol=1e-12, C=C, lam=1.0)
+        )
+        assert plain.iterations == penalized.iterations == 5
+        assert penalty_value(penalized.decomposition, C) == 0.0
+        assert np.array_equal(plain.cost_history, penalized.cost_history)
+        assert np.array_equal(plain.grad_norm_history, penalized.grad_norm_history)
+        for fa, fb in zip(plain.decomposition.frames, penalized.decomposition.frames):
+            assert np.array_equal(fa.path.values, fb.path.values)
+            assert np.array_equal(fa.modes, fb.modes)
+            assert np.array_equal(fa.coeffs, fb.coeffs)
 
 
 class TestOptimizePathOnly:
