@@ -5,11 +5,16 @@ square roots of the time-quadrature weights, columns by a symmetric square
 root of the P1 mass matrix, so that the truncation error is measured in
 exactly the space-time norm the shifted-mode cost minimizes.  The mass
 matrix is circulant, so its square root comes from its Fourier symbol.
+The path-only fit needs only the leading singular triplets of that weighted
+matrix at each path, which ``_leading_svd`` finds by a block subspace
+iteration warm-started from the previous path.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 
@@ -25,6 +30,13 @@ __all__ = [
     "as_decomposition",
     "x_weighted_relative_error",
 ]
+
+# block subspace iteration in _leading_svd: block width k = min(3 r, nt, n)
+SUBSPACE_FACTOR = 3
+# settled once sum_{i<=r} s_i^2 moves by at most this, relatively, in a sweep
+SUBSPACE_RTOL = 1e-15
+# sweeps before falling back to the full SVD
+SUBSPACE_MAX_SWEEPS = 6
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,19 +82,89 @@ def _apply_symbol(rows: np.ndarray, symbol: np.ndarray) -> np.ndarray:
     return np.fft.ifft(np.fft.fft(rows, axis=1) * symbol[None, :], axis=1).real
 
 
+def _weighted_matrix(
+    values: np.ndarray, grid: SpatialGrid, weights: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The doubly weighted matrix ``B = W^{1/2} Z R`` (``R`` the symmetric
+    square root of the mass matrix) and the Fourier symbol of ``R``."""
+    sq = np.sqrt(_mass_symbol(grid))
+    return np.sqrt(weights)[:, None] * _apply_symbol(values, sq), sq
+
+
 def _weighted_svd(
     values: np.ndarray, grid: SpatialGrid, weights: np.ndarray, r: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """SVD of the doubly weighted matrix ``W^{1/2} Z R`` (``R`` the symmetric
-    square root of the mass matrix), whose plain SVD is the weighted POD.
+    """SVD of the doubly weighted matrix ``B = W^{1/2} Z R``, whose plain SVD
+    is the weighted POD.
 
     Returns the leading ``r`` left singular vectors, all singular values, and
     the ``r`` X-orthonormal mode rows ``R^{-1} v_i``.
     """
-    sq = np.sqrt(_mass_symbol(grid))
-    B = np.sqrt(weights)[:, None] * _apply_symbol(values, sq)
+    B, sq = _weighted_matrix(values, grid, weights)
     U, s, Vt = np.linalg.svd(B, full_matrices=False)
     return U[:, :r], s, _apply_symbol(Vt[:r], 1.0 / sq)
+
+
+def _leading_svd(
+    B: np.ndarray, r: int, V: Optional[np.ndarray] = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """Leading ``r`` singular triplets of ``B`` and the discarded energy
+    ``sum_{i>r} s_i^2 / 2``, by block subspace iteration.
+
+    ``V`` (``n x k`` with ``k = min(3 r, nt, n)``) warm-starts the block;
+    ``None`` runs the full SVD.  Each sweep orthonormalizes ``Q = qr(B V)``
+    and takes the Rayleigh-Ritz triplets from the small SVD of
+    ``(B^T Q)^T`` (Golub & Van Loan, Matrix Computations, section 8.2).  The
+    block has settled once ``sum_{i<=r} s_i^2`` moves by at most
+    ``SUBSPACE_RTOL`` relatively between two sweeps and the energy left
+    outside the block, ``E = ||B||_F^2 - sum_{i<=k} s_i^2``, is below
+    ``s_r^2``.  Every singular value of ``B`` missing from an invariant block
+    has ``s^2 <= E``, so the second test rules out a missed direction above
+    ``s_r``; a block that settles on the wrong invariant subspace (say,
+    trailing vectors) fails it.  Otherwise, after ``SUBSPACE_MAX_SWEEPS``
+    sweeps, the full SVD is taken, and then the discarded energy is summed
+    from its tail ``s[r:]``.
+
+    Returns ``(U_r, s_r, V, discarded)``; the ``k`` columns of ``V`` (the
+    leading ``r`` first) warm-start the next call.
+    """
+    nt, n = B.shape
+    k = min(SUBSPACE_FACTOR * r, nt, n)
+    if V is not None:
+        # per-row sums: a whole-matrix dot product is split across BLAS threads
+        total = math.fsum(np.einsum("kl,kl->k", B, B))
+        head = None
+        for _ in range(SUBSPACE_MAX_SWEEPS):
+            Q = np.linalg.qr(B @ V)[0]
+            # (B^T Q)^T = X diag(s) V^T: LAPACK factors the tall n x k side faster
+            V, s, Xt = np.linalg.svd(B.T @ Q, full_matrices=False)
+            prev, head = head, math.fsum(s[:r] ** 2)
+            if (
+                prev is not None
+                and abs(head - prev) <= SUBSPACE_RTOL * head
+                and (k == min(nt, n) or total - math.fsum(s**2) < s[r - 1] ** 2)
+            ):
+                return Q @ Xt[:r].T, s[:r], V, 0.5 * (total - head)
+    U, s, Vt = np.linalg.svd(B, full_matrices=False)
+    return U[:, :r], s[:r], Vt[:k].T, 0.5 * float(np.dot(s[r:], s[r:]))
+
+
+def _weighted_leading_svd(
+    values: np.ndarray,
+    grid: SpatialGrid,
+    weights: np.ndarray,
+    r: int,
+    V: Optional[np.ndarray] = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, np.ndarray]:
+    """:func:`_leading_svd` of ``B = W^{1/2} Z R``.
+
+    Returns the leading ``r`` left singular vectors and singular values, the
+    ``r`` X-orthonormal mode rows, the discarded energy, and the right
+    singular vectors that warm-start the next call.
+    """
+    B, sq = _weighted_matrix(values, grid, weights)
+    U, s, V, discarded = _leading_svd(B, r, V)
+    return U, s, _apply_symbol(V[:, :r].T, 1.0 / sq), discarded, V
 
 
 def pod(z: SnapshotSet, r: int) -> PodResult:

@@ -5,12 +5,15 @@ Two drivers share one L-BFGS core:
 * :func:`optimize_decomposition` minimizes the (optionally penalized) cost
   over any subset of {coefficients, paths, modes}.
 * :func:`optimize_path_only` minimizes a reduced objective in the path
-  alone: at each path the coefficients and modes are recomputed by a
-  truncated weighted SVD of the data shifted into the co-moving frame.  The
-  nodal shift interpolates and is not an isometry, so that objective is not
-  the reconstructed-frame cost, and the outer gradient is the partial path
-  gradient of the reconstructed-frame cost at the inner solution, not the
-  gradient of the objective being minimized.
+  alone: at each path the coefficients and modes are the leading singular
+  triplets of the weighted data shifted into the co-moving frame.  The first
+  evaluation takes them from a full SVD; every later one runs a block
+  subspace iteration warm-started from the previous evaluation's right
+  singular vectors, falling back to the full SVD when the block has not
+  settled.  The nodal shift interpolates and is not an isometry, so that
+  objective is not the reconstructed-frame cost, and the outer gradient is
+  the partial path gradient of the reconstructed-frame cost at the inner
+  solution, not the gradient of the objective being minimized.
 
 Everything is deterministic: no randomized initialization anywhere.
 """
@@ -22,7 +25,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .baseline_pod import _weighted_svd
+from .baseline_pod import _weighted_leading_svd
 from .core import SnapshotSet
 from .cost_grad import (
     CostGradient,
@@ -360,9 +363,16 @@ def optimize_path_only(
     """Single-frame reduced optimization over the path alone.
 
     At each path the data is shifted into the co-moving frame, the best
-    rank-``r`` coefficients and modes follow from a truncated weighted SVD
-    there, and the reduced cost is half the energy of the discarded singular
-    values.  Because the nodal shift is interpolatory rather than exactly
+    rank-``r`` coefficients and modes follow from the leading ``r`` weighted
+    singular triplets there, and the reduced cost is half the energy of the
+    discarded singular values.  The first evaluation runs the full SVD; later
+    ones run a block subspace iteration on ``min(3 r, nt, n)`` columns,
+    warm-started from the previous evaluation's right singular vectors,
+    which falls back to the full SVD when it has not settled (see
+    :func:`spod.baseline_pod._leading_svd`).  The returned decomposition is
+    rebuilt from the full SVD at the final path.
+
+    Because the nodal shift is interpolatory rather than exactly
     isometric, the residual is measured in the co-moving frame; the gap to
     the reconstructed-frame cost is reported as ``isometry_defect``.  It is
     not small in general: on the FitzHugh-Nagumo wave train (r = 4, h = 0.5,
@@ -381,13 +391,18 @@ def optimize_path_only(
         else None
     )
 
+    # right singular vectors of the previous evaluation: the warm start
+    warm = None
+
     def inner(x: np.ndarray) -> tuple[float, Decomposition]:
+        nonlocal warm
         path = PathRepr(path0.kind, x)
         pv = path_values(path, times)
         comoving = shift_rows(z.values, -pv, z.grid)
-        U, s, modes = _weighted_svd(comoving, z.grid, z.tgrid.weights, r)
-        cost = 0.5 * float(np.dot(s[r:], s[r:]))
-        coeffs = (U * s[:r]) / sqw[:, None]
+        U, s, modes, cost, warm = _weighted_leading_svd(
+            comoving, z.grid, z.tgrid.weights, r, warm
+        )
+        coeffs = (U * s) / sqw[:, None]
         frame = Frame(path, modes, coeffs)
         return cost, Decomposition((frame,), z.grid, z.tgrid)
 
@@ -399,6 +414,8 @@ def optimize_path_only(
         return cost, nodal
 
     xs, hist = lbfgs_minimize(objective, np.array(path0.values, dtype=float), cfg, callback)
+    # a cold start: the full SVD, with its LAPACK signs, at the final path
+    warm = None
     final_cost, d_final = inner(xs)
     defect = abs(final_cost - eval_cost(z, d_final))
     return OptimizerResult(

@@ -30,8 +30,6 @@ __all__ = [
     "decompose_shift",
     "gram_F",
     "gram_G",
-    "gram_M",
-    "gram_N",
     "stiffness_gram",
     "apply_gram",
     "gram_to_dense",
@@ -134,16 +132,6 @@ def gram_G(p: float, grid: SpatialGrid) -> ShiftGram:
     one-sided value from above is used."""
     q, frac = decompose_shift(p, grid)
     return ShiftGram(q, frac, _band_G(frac, grid.h), grid.n, grid.h)
-
-
-def gram_M(p_i: float, p_j: float, grid: SpatialGrid) -> ShiftGram:
-    """Two-path mass Gram ``<T(p_j) psi_k, T(p_i) psi_l>`` = ``F(p_i - p_j)``."""
-    return gram_F(p_i - p_j, grid)
-
-
-def gram_N(p_i: float, p_j: float, grid: SpatialGrid) -> ShiftGram:
-    """Two-path derivative Gram ``<T(p_j) psi_k, d/dp_i T(p_i) psi_l>`` = ``G(p_i - p_j)``."""
-    return gram_G(p_i - p_j, grid)
 
 
 def stiffness_gram(grid: SpatialGrid) -> ShiftGram:

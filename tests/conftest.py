@@ -18,3 +18,17 @@ def fhn_data():
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240613)
+
+
+@pytest.fixture
+def svd_shapes(monkeypatch):
+    """Shapes of the matrices passed to ``np.linalg.svd`` during the test."""
+    shapes = []
+    svd = np.linalg.svd
+
+    def spy(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    return shapes

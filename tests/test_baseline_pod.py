@@ -2,6 +2,10 @@ import numpy as np
 import pytest
 
 from spod.baseline_pod import (
+    SUBSPACE_FACTOR,
+    _leading_svd,
+    _weighted_leading_svd,
+    _weighted_svd,
     pod,
     pod_reconstruction,
     truncated_svd,
@@ -54,6 +58,91 @@ class TestTruncatedSvd:
             truncated_svd(np.eye(3), 4)
         with pytest.raises(ValueError):
             truncated_svd(np.eye(3), 0)
+
+
+def spectrum_matrix(rng, nt, n, s):
+    """``nt x n`` matrix with singular values ``s`` and random singular vectors."""
+    U = np.linalg.qr(rng.standard_normal((nt, s.size)))[0]
+    V = np.linalg.qr(rng.standard_normal((n, s.size)))[0]
+    return (U * s) @ V.T
+
+
+class TestLeadingSvd:
+    def assert_matches_full_svd(self, B, r, got):
+        U, s, V, discarded = got
+        U0, s0, Vt0 = np.linalg.svd(B, full_matrices=False)
+        k = min(SUBSPACE_FACTOR * r, *B.shape)
+        assert U.shape == (B.shape[0], r) and s.shape == (r,) and V.shape == (B.shape[1], k)
+        assert np.max(np.abs(s - s0[:r]) / s0[:r]) <= 1e-12
+        assert abs(discarded - 0.5 * np.sum(s0[r:] ** 2)) <= 1e-12 * np.sum(B**2)
+        best = (U0[:, :r] * s0[:r]) @ Vt0[:r]
+        assert np.max(np.abs((U * s) @ V[:, :r].T - best)) <= 1e-10
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_warm_start_from_perturbed_vectors(self, seed, svd_shapes):
+        rng = np.random.default_rng(seed)
+        B = spectrum_matrix(rng, 60, 50, 0.7 ** np.arange(50))
+        V0 = np.linalg.svd(B)[2][:12].T + 1e-3 * rng.standard_normal((50, 12))
+        svd_shapes.clear()
+        got = _leading_svd(B, 4, V0)
+        assert B.shape not in svd_shapes  # settled without the full SVD
+        self.assert_matches_full_svd(B, 4, got)
+
+    @pytest.mark.parametrize("seed", [4, 5, 6])
+    def test_warm_start_spanning_trailing_vectors(self, seed):
+        # an invariant block: without a global check the sweeps settle on it
+        rng = np.random.default_rng(seed)
+        B = spectrum_matrix(rng, 60, 50, 0.8 ** np.arange(50))
+        V0 = np.linalg.svd(B)[2][12:24].T
+        self.assert_matches_full_svd(B, 4, _leading_svd(B, 4, V0))
+
+    @pytest.mark.parametrize("seed", [15, 16, 17])
+    def test_warm_start_missing_only_the_top_vector(self, seed, svd_shapes):
+        # the invariant block v2..v13 leaves out v1 (energy 1) but less energy
+        # than 38 s_13^2 outside it, so only the s_r^2 test can reject it
+        rng = np.random.default_rng(seed)
+        B = spectrum_matrix(rng, 60, 50, 0.9 ** np.arange(50))
+        V0 = np.linalg.svd(B)[2][1:13].T
+        svd_shapes.clear()
+        got = _leading_svd(B, 4, V0)
+        assert svd_shapes.count(B.shape) == 1
+        self.assert_matches_full_svd(B, 4, got)
+
+    @pytest.mark.parametrize("seed", [7, 8, 9])
+    def test_flat_spectrum_falls_back(self, seed, svd_shapes):
+        # s_4 = s_13: the block of 12 columns cannot separate the leading four
+        rng = np.random.default_rng(seed)
+        B = spectrum_matrix(rng, 60, 50, np.r_[1.3, 1.2, 1.1, np.ones(47)])
+        V0 = rng.standard_normal((50, 12))
+        got = _leading_svd(B, 4, V0)
+        assert svd_shapes.count(B.shape) == 1
+        self.assert_matches_full_svd(B, 4, got)
+
+    @pytest.mark.parametrize("seed", [10, 11, 12])
+    def test_block_as_wide_as_the_matrix(self, seed):
+        # k = min(3 r, nt, n) = nt = 9
+        rng = np.random.default_rng(seed)
+        B = rng.standard_normal((9, 16)) * 0.6 ** np.arange(16)
+        V0 = np.linalg.svd(B)[2][:9].T + 1e-3 * rng.standard_normal((16, 9))
+        self.assert_matches_full_svd(B, 4, _leading_svd(B, 4, V0))
+
+    @pytest.mark.parametrize("seed", [13, 14])
+    def test_cold_start_is_the_full_svd(self, seed, svd_shapes):
+        rng = np.random.default_rng(seed)
+        B = spectrum_matrix(rng, 30, 20, 0.7 ** np.arange(20))
+        got = _leading_svd(B, 2)
+        assert svd_shapes == [B.shape]
+        self.assert_matches_full_svd(B, 2, got)
+
+    def test_weighted_cold_start_matches_weighted_svd(self, rng):
+        z = make_set(rng.standard_normal((12, 10)))
+        w = z.tgrid.weights
+        U, s, modes, discarded, V = _weighted_leading_svd(z.values, z.grid, w, 3)
+        U0, s0, modes0 = _weighted_svd(z.values, z.grid, w, 3)
+        assert np.array_equal(U, U0) and np.array_equal(s, s0[:3])
+        assert np.array_equal(modes, modes0)
+        assert discarded == 0.5 * float(np.dot(s0[3:], s0[3:]))
+        assert V.shape == (10, 9)
 
 
 class TestPod:

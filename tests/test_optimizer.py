@@ -20,7 +20,8 @@ from spod.optimizer import (
     pack,
     unpack,
 )
-from spod.shift_fem import apply_gram, gram_F, gram_M
+from spod.baseline_pod import _weighted_svd
+from spod.shift_fem import apply_gram, gram_F, shift_rows
 
 
 def spike_fixture(n=32, m=16):
@@ -35,6 +36,22 @@ def spike_fixture(n=32, m=16):
         TravelingProfile(s2, speed=-0.5, amplitude=0.5),
     ]
     return synthetic_traveling(profiles, grid, tg)
+
+
+def pulse_and_wave(n=24, m=12, speed=0.37):
+    """A Gaussian pulse moving at ``speed`` over a standing-phase sine wave."""
+    grid = SpatialGrid(n, 1.0)
+    tg = make_uniform_time_grid(m, 1.0)
+    x = grid.nodes
+    profile = np.exp(-0.5 * ((x - 0.5) / 0.1) ** 2)
+    values = np.stack(
+        [
+            np.interp((x - speed * t) % 1.0, x, profile, period=1.0)
+            + 0.1 * np.sin(2 * np.pi * (x + t))
+            for t in tg.times
+        ]
+    )
+    return SnapshotSet(grid, tg, values)
 
 
 class TestPacking:
@@ -203,7 +220,7 @@ class TestOptimizeDecomposition:
             for a, (pa, va) in enumerate(blocks):
                 rhs[a] = float(z.values[k] @ apply_gram(gram_F(pa, grid), va))
                 for b, (pb, vb) in enumerate(blocks):
-                    A[a, b] = float(va @ apply_gram(gram_M(pb, pa, grid), vb))
+                    A[a, b] = float(va @ apply_gram(gram_F(pb - pa, grid), vb))
             alpha = np.linalg.solve(A, rhs)
             zz = float(z.values[k] @ apply_gram(F0, z.values[k]))
             cost_direct += tg.weights[k] * (zz - float(alpha @ rhs))
@@ -330,18 +347,8 @@ class TestOptimizePathOnly:
         assert res.iterations == 0  # already stationary
 
     def test_reduced_cost_matches_tail_energy_within_defect(self, rng):
-        grid = SpatialGrid(24, 1.0)
-        tg = make_uniform_time_grid(12, 1.0)
-        x = grid.nodes
-        profile = np.exp(-0.5 * ((x - 0.5) / 0.1) ** 2)
-        values = np.stack(
-            [
-                np.interp((x - 0.37 * t) % 1.0, x, profile, period=1.0)
-                + 0.1 * np.sin(2 * np.pi * (x + t))
-                for t in tg.times
-            ]
-        )
-        z = SnapshotSet(grid, tg, values)
+        z = pulse_and_wave()
+        tg = z.tgrid
         res = optimize_path_only(
             z, PathRepr.nodal(0.37 * tg.times), 2, OptimizerConfig(max_iters=3, grad_tol=1e-12)
         )
@@ -349,6 +356,44 @@ class TestOptimizePathOnly:
         assert abs(res.cost_history[-1] - recon_cost) <= res.isometry_defect + 1e-12
         # defect is a small fraction of the cost scale (O(h^2) interpolation)
         assert res.isometry_defect <= 0.05 * max(res.cost_history[-1], recon_cost)
+
+    def test_repeated_calls_are_bitwise_equal(self):
+        # the warm start lives in one call: nothing carries over to the next
+        z = pulse_and_wave()
+        path0 = PathRepr.nodal(0.3 * z.tgrid.times + 0.0031)
+        cfg = OptimizerConfig(max_iters=8, grad_tol=1e-12)
+        a = optimize_path_only(z, path0, 2, cfg)
+        b = optimize_path_only(z, path0, 2, cfg)
+        assert a.iterations == b.iterations > 1
+        assert np.array_equal(a.cost_history, b.cost_history)
+        assert np.array_equal(a.grad_norm_history, b.grad_norm_history)
+        fa, fb = a.decomposition.frames[0], b.decomposition.frames[0]
+        assert np.array_equal(fa.path.values, fb.path.values)
+        assert np.array_equal(fa.modes, fb.modes)
+        assert np.array_equal(fa.coeffs, fb.coeffs)
+        assert a.isometry_defect == b.isometry_defect
+
+    def test_warm_start_replaces_the_full_svd(self, svd_shapes):
+        # only the first evaluation and the final rebuild factor the whole matrix
+        z = pulse_and_wave()
+        path0 = PathRepr.nodal(0.3 * z.tgrid.times + 0.0031)
+        res = optimize_path_only(z, path0, 2, OptimizerConfig(max_iters=8, grad_tol=1e-12))
+        assert res.iterations > 1
+        assert svd_shapes.count(z.values.shape) == 2
+        assert len(svd_shapes) > 2 * len(res.cost_history)
+
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    def test_final_cost_is_the_full_svd_tail(self, r):
+        # off-node start: p(0) = 0.0031 is no multiple of h
+        z = pulse_and_wave()
+        path0 = PathRepr.nodal(0.3 * z.tgrid.times + 0.0031)
+        res = optimize_path_only(z, path0, r, OptimizerConfig(max_iters=8, grad_tol=1e-12))
+        assert res.iterations > 1
+        pv = res.decomposition.frames[0].path.values
+        comoving = shift_rows(z.values, -pv, z.grid)
+        _, s, _ = _weighted_svd(comoving, z.grid, z.tgrid.weights, r)
+        tail = 0.5 * float(np.sum(s[r:] ** 2))
+        assert res.cost_history[-1] == pytest.approx(tail, rel=1e-12)
 
     def test_polynomial_path_variant(self):
         grid = SpatialGrid(24, 1.0)

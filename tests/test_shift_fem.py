@@ -10,8 +10,6 @@ from spod.shift_fem import (
     eval_p1,
     gram_F,
     gram_G,
-    gram_M,
-    gram_N,
     gram_to_dense,
     quadrature_inner_dp_oracle,
     quadrature_inner_oracle,
@@ -104,20 +102,20 @@ class TestGramG:
 class TestTwoPathGrams:
     def test_same_path_is_mass(self, rng):
         for p in rng.uniform(-2, 2, 10):
-            m = gram_M(float(p), float(p), GRID)
+            m = gram_F(float(p) - float(p), GRID)
             f0 = gram_F(0.0, GRID)
             assert m.offset_q == f0.offset_q
             assert np.array_equal(m.band, f0.band)
 
     def test_difference_rule(self):
         # 0.3 - 0.1 rounds just below 0.2, so compare the realized matrices
-        m = gram_M(0.3, 0.1, GRID)
+        m = gram_F(0.3 - 0.1, GRID)
         f = gram_F(0.2, GRID)
         assert np.max(np.abs(gram_to_dense(m) - gram_to_dense(f))) < 1e-12
 
     def test_n_same_path_is_g0(self):
         for p in (0.0, 0.37, -1.2):
-            n = gram_N(p, p, GRID)
+            n = gram_G(p - p, GRID)
             g0 = gram_G(0.0, GRID)
             assert n.offset_q == g0.offset_q and np.array_equal(n.band, g0.band)
 
@@ -320,7 +318,7 @@ class TestStructuralInvariants:
         # field's square matches the unshifted one
         v = rng.standard_normal(GRID.n)
         for p in (0.234, 1.7, -0.41):
-            m = gram_M(p, p, GRID)
+            m = gram_F(p - p, GRID)
             assert float(v @ apply_gram(m, v)) == pytest.approx(
                 float(v @ apply_gram(gram_F(0.0, GRID), v)), abs=1e-15
             )
