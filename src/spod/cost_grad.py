@@ -27,11 +27,11 @@ from .shift_fem import (
     _band_G,
     _decompose_many,
     apply_gram,
-    gram_F,
-    gram_G,
+    periodic_neighbours,
     roll_rows,
     shift_rows,
     stiffness_gram,
+    zero_shift_grams,
 )
 
 __all__ = [
@@ -182,9 +182,7 @@ def _check_same_grids(z: SnapshotSet, d: Decomposition) -> None:
 
 def _mode_rolls(modes: np.ndarray) -> np.ndarray:
     """Stack of rolled mode vectors, shape (r, 4, n): entry [i, d, l] = phi_i[(l + delta_d) % n]."""
-    return np.stack(
-        [np.stack([np.roll(m, -delta) for delta in BAND_OFFSETS]) for m in modes]
-    )
+    return np.stack(periodic_neighbours(modes, BAND_OFFSETS), axis=1)
 
 
 def _apply_bands_rows(
@@ -193,14 +191,22 @@ def _apply_bands_rows(
     """Row-wise products ``F(p_k) A[k]`` for a time-varying band family, or
     with ``transpose`` the exact transposes ``F(p_k)^T A[k]``."""
     sign = 1 if transpose else -1
+    offsets = [-sign * dlt for dlt in BAND_OFFSETS]
     out = np.zeros_like(A)
-    for dlt, b in zip(BAND_OFFSETS, bands.T):
-        out += b[:, None] * np.roll(A, sign * dlt, axis=1)
+    for b, neighbour in zip(bands.T, periodic_neighbours(A, offsets)):
+        out += b[:, None] * neighbour
     return roll_rows(out, -sign * qs)
 
 
 class _Workspace:
-    """Shared per-evaluation state for cost and gradient assembly."""
+    """Shared per-evaluation state for cost and gradient assembly.
+
+    Built once per evaluation: each frame's path samples, whole-cell offsets
+    and F/G bands, its rolled modes and the data rows rotated into its
+    alignment, and for every ordered pair of frames ``(a, b)`` the offsets,
+    fractional parts and F band of the relative shift ``p_a - p_b``.  The
+    zero-shift Grams come from the per-grid cache of ``shift_fem``.
+    """
 
     def __init__(self, z: SnapshotSet, d: Decomposition):
         _check_same_grids(z, d)
@@ -210,8 +216,7 @@ class _Workspace:
         self.times = d.tgrid.times
         self.w = d.tgrid.weights
         self.Z = z.values
-        self.F0 = gram_F(0.0, grid)
-        self.G0 = gram_G(0.0, grid)
+        self.F0, self.G0 = zero_shift_grams(grid)
         self.pvals = [path_values(f.path, self.times) for f in d.frames]
         decomposed = [_decompose_many(pv, grid) for pv in self.pvals]
         self.qs = [q for q, _ in decomposed]
@@ -221,11 +226,12 @@ class _Workspace:
         self.U = [f.coeffs @ f.modes for f in d.frames]
         # data rows aligned with each frame's whole-cell offset
         self.Zrot = [roll_rows(self.Z, -q) for q in self.qs]
-
-    def rel_shift(self, a: int, b: int) -> tuple[np.ndarray, np.ndarray]:
-        """Offsets and F bands of the relative shift ``p_a - p_b``."""
-        q, fr = _decompose_many(self.pvals[a] - self.pvals[b], self.d.grid)
-        return q, fr
+        self.cross = {}
+        for a, pa in enumerate(self.pvals):
+            for b, pb in enumerate(self.pvals):
+                if a != b:
+                    q, fr = _decompose_many(pa - pb, grid)
+                    self.cross[a, b] = (q, fr, _band_F(fr, self.h))
 
     def data_energy(self) -> np.ndarray:
         """Per-time-step ``z_k^T F(0) z_k``."""
@@ -236,12 +242,6 @@ class _Workspace:
         d = self.d
         nf = len(d.frames)
         FZ, GZ, R, RN = [], [], [], []
-        cross = {}
-        if nf > 1:
-            for a in range(nf):
-                for b in range(nf):
-                    if a != b:
-                        cross[a, b] = self.rel_shift(a, b)
         for fi, f in enumerate(d.frames):
             r = f.r
             nt = self.times.size
@@ -259,10 +259,10 @@ class _Workspace:
             for fj in range(nf):
                 if fj == fi:
                     continue
-                qd, frd = cross[fi, fj]
+                qd, frd, fbd = self.cross[fi, fj]
                 cross_rot[fj] = (
                     roll_rows(self.U[fj], -qd),
-                    _band_F(frd, self.h),
+                    fbd,
                     _band_G(frd, self.h) if want_grad else None,
                 )
             # rows F(p_k) phi_i in the co-moving alignment: (m+1, 4) @ (4, n)
@@ -298,8 +298,8 @@ class _Workspace:
         for fj in range(len(d.frames)):
             if fj == fi:
                 continue
-            qd, frd = self.rel_shift(fj, fi)
-            row = row + _apply_bands_rows(_band_F(frd, self.h), qd, self.U[fj])
+            qd, _, fbd = self.cross[fj, fi]
+            row = row + _apply_bands_rows(fbd, qd, self.U[fj])
         row = row - _apply_bands_rows(self.Fbands[fi], self.qs[fi], self.Z, transpose=True)
         return (self.w[:, None] * f.coeffs).T @ row
 
@@ -364,7 +364,7 @@ def path_gradient_nodal(z: SnapshotSet, d: Decomposition) -> list[np.ndarray]:
 
 def data_norm_sq(z: SnapshotSet) -> float:
     """Squared data norm ``sum_k w_k z_k^T F(0) z_k`` (the cost's own metric)."""
-    F0 = gram_F(0.0, z.grid)
+    F0, _ = zero_shift_grams(z.grid)
     zz = np.einsum("kl,kl->k", z.values, apply_gram(F0, z.values))
     return float(np.dot(z.tgrid.weights, zz))
 
@@ -404,7 +404,7 @@ def _penalty_norms(d: Decomposition, C: float):
         raise ValueError(f"penalty bound must be positive, got C={C}")
     w = d.tgrid.weights
     stiff = stiffness_gram(d.grid)
-    F0 = gram_F(0.0, d.grid)
+    F0, _ = zero_shift_grams(d.grid)
     out = []
     for f in d.frames:
         pv = path_values(f.path, d.tgrid.times)

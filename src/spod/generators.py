@@ -11,7 +11,7 @@ import numpy as np
 
 from .core import SnapshotSet, SpatialGrid, TimeGrid, make_uniform_time_grid
 from .cost_grad import Decomposition, Frame, PathRepr
-from .shift_fem import shift_rows
+from .shift_fem import periodic_neighbours, shift_rows
 
 __all__ = [
     "BurgersParams",
@@ -163,10 +163,11 @@ def fhn_simulate(
     nu, a, eps, b = p.nu, p.a, p.eps, p.b
 
     def rhs(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        lap = stencil[3] * u
-        for c, off in zip(stencil, _D2_OFFSETS):
+        neighbours = periodic_neighbours(u, _D2_OFFSETS)
+        lap = stencil[3] * neighbours[3]
+        for c, off, neighbour in zip(stencil, _D2_OFFSETS, neighbours):
             if off != 0:
-                lap += c * np.roll(u, -off)
+                lap += c * neighbour
         du = nu * lap - v + u * (1.0 - u) * (u - a)
         dv = eps * (b * u - v)
         return du, dv

@@ -19,6 +19,7 @@ two-path Grams reduce to ``M(p_i, p_j) = F(p_i - p_j)`` and
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -30,7 +31,9 @@ __all__ = [
     "decompose_shift",
     "gram_F",
     "gram_G",
+    "zero_shift_grams",
     "stiffness_gram",
+    "periodic_neighbours",
     "apply_gram",
     "gram_to_dense",
     "roll_rows",
@@ -134,6 +137,13 @@ def gram_G(p: float, grid: SpatialGrid) -> ShiftGram:
     return ShiftGram(q, frac, _band_G(frac, grid.h), grid.n, grid.h)
 
 
+@lru_cache(maxsize=16)
+def zero_shift_grams(grid: SpatialGrid) -> tuple[ShiftGram, ShiftGram]:
+    """``(F(0), G(0))``, built once per grid: the same-frame Grams of every
+    cost evaluation on it."""
+    return gram_F(0.0, grid), gram_G(0.0, grid)
+
+
 def stiffness_gram(grid: SpatialGrid) -> ShiftGram:
     """P1 stiffness matrix ``<psi_k', psi_l'>`` as a zero-offset band."""
     h = grid.h
@@ -141,19 +151,42 @@ def stiffness_gram(grid: SpatialGrid) -> ShiftGram:
     return ShiftGram(0, 0.0, band, grid.n, h)
 
 
+def periodic_neighbours(v: np.ndarray, offsets) -> list[np.ndarray]:
+    """Periodic neighbours of ``v`` along its last axis: view ``i`` holds
+    ``v[..., (k + offsets[i]) mod n]`` at ``[..., k]``.
+
+    All views are slices of one copy of ``v`` padded once to ``n + span``
+    columns (``span`` the spread of the offsets); no view is copied.
+    """
+    n = v.shape[-1]
+    lo = min(offsets)
+    start = lo % n
+    # columns start, start + 1, ..., start + n + span - 1, all modulo n
+    parts = [v[..., start:]]
+    rest = start + max(offsets) - lo
+    while rest > n:
+        parts.append(v)
+        rest -= n
+    parts.append(v[..., :rest])
+    padded = np.concatenate(parts, axis=-1)
+    return [padded[..., o - lo : o - lo + n] for o in offsets]
+
+
 def apply_gram(gram: ShiftGram, v: np.ndarray) -> np.ndarray:
     """Matrix-vector product with a banded circulant in O(n).
 
     ``v`` may also be a 2-D array of row vectors; the product is applied to
-    the last axis.
+    the last axis.  ``(A v)_k = sum_d band[d] v[(k - q + delta_d) mod n]``,
+    summed over the bands in order, each term a slice of one padded copy of
+    ``v`` (:func:`periodic_neighbours`).
     """
     v = np.asarray(v, dtype=float)
     if v.shape[-1] != gram.n:
         raise ValueError(f"vector length {v.shape[-1]} does not match n={gram.n}")
+    offsets = [delta - gram.offset_q for delta in BAND_OFFSETS]
     out = np.zeros_like(v)
-    for d, delta in enumerate(BAND_OFFSETS):
-        # (A v)_k = sum_d band[d] * v[(k - q + delta_d) mod n]
-        out += gram.band[d] * np.roll(v, gram.offset_q - delta, axis=-1)
+    for b, neighbour in zip(gram.band, periodic_neighbours(v, offsets)):
+        out += b * neighbour
     return out
 
 

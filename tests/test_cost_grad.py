@@ -12,11 +12,23 @@ from spod.cost_grad import (
     eval_penalized_cost,
     penalty_gradient,
     penalty_value,
+    _apply_bands_rows,
+    _mode_rolls,
     reconstruct,
 )
 from spod.generators import TravelingProfile, synthetic_traveling
 from spod.optimizer import pack, pack_gradient, unpack
-from spod.shift_fem import apply_gram, eval_p1, gram_F, shift_field
+from spod.shift_fem import (
+    BAND_OFFSETS,
+    _band_F,
+    _band_G,
+    _decompose_many,
+    apply_gram,
+    eval_p1,
+    gram_F,
+    roll_rows,
+    shift_field,
+)
 
 GRID = SpatialGrid(16, 1.0)
 TG = make_uniform_time_grid(8, 1.0)
@@ -389,3 +401,31 @@ class TestPenalizedCost:
     def test_negative_lambda_rejected(self):
         with pytest.raises(ValueError):
             eval_penalized_cost(self.z, self.d, C=1.0, lam=-1.0)
+
+
+class TestBandKernelsMatchRolls:
+    """The padded-slice band kernels equal their ``np.roll`` forms bitwise."""
+
+    GRID = SpatialGrid(13, 1.0)
+
+    def test_mode_rolls(self, rng):
+        modes = rng.standard_normal((3, self.GRID.n))
+        expected = np.stack(
+            [np.stack([np.roll(m, -delta) for delta in BAND_OFFSETS]) for m in modes]
+        )
+        out = _mode_rolls(modes)
+        assert out.shape == expected.shape and out.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("band", [_band_F, _band_G])
+    @pytest.mark.parametrize("transpose", [False, True])
+    def test_apply_bands_rows(self, rng, band, transpose):
+        A = rng.standard_normal((9, self.GRID.n))
+        q, fr = _decompose_many(rng.uniform(-3.0, 3.0, 9), self.GRID)
+        bands = band(fr, self.GRID.h)
+        sign = 1 if transpose else -1
+        rolled = np.zeros_like(A)
+        for dlt, b in zip(BAND_OFFSETS, bands.T):
+            rolled += b[:, None] * np.roll(A, sign * dlt, axis=1)
+        expected = roll_rows(rolled, -sign * q)
+        out = _apply_bands_rows(bands, q, A, transpose=transpose)
+        assert out.tobytes() == expected.tobytes()

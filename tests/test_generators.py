@@ -8,6 +8,8 @@ from spod.generators import (
     FhnParams,
     IntegratorBlowupError,
     TravelingProfile,
+    _D2_OFFSETS,
+    _D2_STENCIL,
     burgers_analytic,
     burgers_value,
     fhn_simulate,
@@ -104,6 +106,35 @@ class TestFhn:
         p = FhnParams(tfinal=5.0, length=50.0)
         z = fhn_simulate(p, u0=np.zeros(p.n), v0=np.zeros(p.n))
         assert np.all(z.values == 0.0)
+
+    def test_bitwise_equal_to_roll_stencil(self):
+        # the padded-slice Laplacian against the np.roll right-hand side
+        p = FhnParams(tfinal=4.0, length=50.0)
+        x = np.arange(p.n) * p.h
+        u = 0.5 * (1.0 + np.sin(np.pi * x / 50.0))
+        v = 0.5 * (1.0 + np.cos(np.pi * x / 50.0))
+        stencil = _D2_STENCIL / (p.h * p.h)
+
+        def rhs(u, v):
+            lap = stencil[3] * u
+            for c, off in zip(stencil, _D2_OFFSETS):
+                if off != 0:
+                    lap += c * np.roll(u, -off)
+            du = p.nu * lap - v + u * (1.0 - u) * (u - p.a)
+            return du, p.eps * (p.b * u - v)
+
+        dt = p.dt_int
+        rows = [u]
+        for _ in range(round(p.tfinal / p.dt_out)):
+            for _ in range(round(p.dt_out / dt)):
+                k1u, k1v = rhs(u, v)
+                k2u, k2v = rhs(u + 0.5 * dt * k1u, v + 0.5 * dt * k1v)
+                k3u, k3v = rhs(u + 0.5 * dt * k2u, v + 0.5 * dt * k2v)
+                k4u, k4v = rhs(u + dt * k3u, v + dt * k3v)
+                u = u + (dt / 6.0) * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
+                v = v + (dt / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
+            rows.append(u)
+        assert fhn_simulate(p).values.tobytes() == np.array(rows).tobytes()
 
     def test_step_doubling_convergence(self):
         base = FhnParams(tfinal=120.0)

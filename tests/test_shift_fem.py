@@ -11,12 +11,14 @@ from spod.shift_fem import (
     gram_F,
     gram_G,
     gram_to_dense,
+    periodic_neighbours,
     quadrature_inner_dp_oracle,
     quadrature_inner_oracle,
     roll_rows,
     shift_field,
     shift_rows,
     stiffness_gram,
+    zero_shift_grams,
 )
 
 GRID = SpatialGrid(10, 1.0)
@@ -138,6 +140,54 @@ class TestApplyGram:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             apply_gram(gram_F(0.0, GRID), np.ones(GRID.n + 1))
+
+    @pytest.mark.parametrize("gram", [gram_F, gram_G])
+    @pytest.mark.parametrize("shape", [(GRID.n,), (6, GRID.n)], ids=["1-D", "2-D"])
+    def test_bitwise_equal_to_roll_form(self, rng, gram, shape):
+        for p in [0.0, GRID.h, -0.03, 0.57, 3.3, *rng.uniform(-5, 5, 6)]:
+            g = gram(float(p), GRID)
+            v = rng.standard_normal(shape)
+            expected = np.zeros_like(v)
+            for d, delta in enumerate(BAND_OFFSETS):
+                expected += g.band[d] * np.roll(v, g.offset_q - delta, axis=-1)
+            assert apply_gram(g, v).tobytes() == expected.tobytes()
+
+
+class TestZeroShiftGrams:
+    def test_cached_per_grid(self):
+        F0, G0 = zero_shift_grams(SpatialGrid(10, 1.0))
+        again = zero_shift_grams(SpatialGrid(10, 1.0))
+        assert again[0] is F0 and again[1] is G0
+        assert zero_shift_grams(SpatialGrid(12, 1.0))[0] is not F0
+
+    def test_bands_equal_fresh_grams(self):
+        F0, G0 = zero_shift_grams(GRID)
+        for cached, fresh in ((F0, gram_F(0.0, GRID)), (G0, gram_G(0.0, GRID))):
+            assert cached.offset_q == fresh.offset_q and cached.frac == fresh.frac
+            assert cached.band.tobytes() == fresh.band.tobytes()
+
+
+class TestPeriodicNeighbours:
+    @pytest.mark.parametrize("n", [3, 11])
+    @pytest.mark.parametrize("shape", [(), (5,)], ids=["1-D", "2-D"])
+    @pytest.mark.parametrize("q", ["0", "1", "n-1", "n", "-3", "2n+5"])
+    def test_matches_roll_both_directions(self, rng, n, shape, q):
+        q = {"0": 0, "1": 1, "n-1": n - 1, "n": n, "-3": -3, "2n+5": 2 * n + 5}[q]
+        v = rng.standard_normal(shape + (n,))
+        for sign in (1, -1):
+            offsets = [sign * (delta - q) for delta in BAND_OFFSETS]
+            views = periodic_neighbours(v, offsets)
+            assert len(views) == len(offsets)
+            for o, view in zip(offsets, views):
+                assert view.shape == v.shape
+                assert view.tobytes() == np.roll(v, -o, axis=-1).tobytes()
+
+    def test_views_share_one_padded_copy(self, rng):
+        v = rng.standard_normal((4, 11))
+        views = periodic_neighbours(v, (-3, -2, -1, 0, 1, 2, 3))
+        assert all(view.base is views[0].base for view in views)
+        assert views[0].base.shape == (4, 11 + 6)
+        assert not np.shares_memory(views[0], v)
 
 
 class TestShiftField:
