@@ -78,8 +78,13 @@ def _mass_symbol(grid: SpatialGrid) -> np.ndarray:
 
 
 def _apply_symbol(rows: np.ndarray, symbol: np.ndarray) -> np.ndarray:
-    """Apply the symmetric circulant with the given Fourier symbol to each row."""
-    return np.fft.ifft(np.fft.fft(rows, axis=1) * symbol[None, :], axis=1).real
+    """Apply the symmetric circulant with the given Fourier symbol to each row.
+
+    The symbol is real and even (``symbol[j] == symbol[n - j]``), so the real
+    transform of each row only needs its first ``n // 2 + 1`` entries.
+    """
+    n = rows.shape[1]
+    return np.fft.irfft(np.fft.rfft(rows, axis=1) * symbol[: n // 2 + 1], n=n, axis=1)
 
 
 def _weighted_matrix(

@@ -3,7 +3,9 @@ import pytest
 
 from spod.baseline_pod import (
     SUBSPACE_FACTOR,
+    _apply_symbol,
     _leading_svd,
+    _mass_symbol,
     _weighted_leading_svd,
     _weighted_svd,
     pod,
@@ -204,3 +206,15 @@ class TestPod:
         z = make_set(rng.standard_normal((8, 11)))
         s = pod(z, 2).singular_values
         assert np.all(np.diff(s) <= 1e-14)
+
+
+@pytest.mark.parametrize("n", [12, 13])
+def test_apply_symbol_matches_complex_fft(rng, n):
+    # the real transform of the even mass-root symbols against the full complex one
+    rows = rng.standard_normal((7, n))
+    sq = np.sqrt(_mass_symbol(SpatialGrid(n, 3.0)))
+    for symbol in (sq, 1.0 / sq):
+        full = np.fft.ifft(np.fft.fft(rows, axis=1) * symbol[None, :], axis=1).real
+        out = _apply_symbol(rows, symbol)
+        assert out.shape == rows.shape
+        assert np.max(np.abs(out - full)) <= 1e-14 * np.max(np.abs(full))
