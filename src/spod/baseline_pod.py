@@ -20,7 +20,7 @@ import numpy as np
 
 from .core import SnapshotSet, SpatialGrid, TimeGrid, _frozen_array
 from .cost_grad import Decomposition, Frame, PathRepr
-from .shift_fem import apply_gram, gram_F
+from .shift_fem import apply_gram, zero_shift_grams
 
 __all__ = [
     "PodResult",
@@ -182,7 +182,7 @@ def pod(z: SnapshotSet, r: int) -> PodResult:
     if not 1 <= r <= min(nt, n):
         raise ValueError(f"rank {r} out of range for {nt} x {n} data")
     _, s, modes = _weighted_svd(z.values, z.grid, z.tgrid.weights, r)
-    coeffs = z.values @ apply_gram(gram_F(0.0, z.grid), modes).T
+    coeffs = z.values @ apply_gram(zero_shift_grams(z.grid)[0], modes).T
     return PodResult(modes, coeffs, s)
 
 
@@ -206,7 +206,7 @@ def x_weighted_relative_error(z: SnapshotSet, zhat: SnapshotSet) -> float:
     """
     if z.grid != zhat.grid or z.tgrid != zhat.tgrid:
         raise ValueError("snapshot sets live on different grids")
-    F0 = gram_F(0.0, z.grid)
+    F0, _ = zero_shift_grams(z.grid)
     w = z.tgrid.weights
     diff = z.values - zhat.values
     num = float(np.dot(w, np.einsum("kl,kl->k", diff, apply_gram(F0, diff))))
