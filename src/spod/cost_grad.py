@@ -25,8 +25,8 @@ from .shift_fem import (
     BAND_OFFSETS,
     _band_F,
     _band_G,
-    _decompose_many,
     apply_gram,
+    decompose_shift,
     periodic_neighbours,
     roll_rows,
     shift_rows,
@@ -218,7 +218,7 @@ class _Workspace:
         self.Z = z.values
         self.F0, self.G0 = zero_shift_grams(grid)
         self.pvals = [path_values(f.path, self.times) for f in d.frames]
-        decomposed = [_decompose_many(pv, grid) for pv in self.pvals]
+        decomposed = [decompose_shift(pv, grid) for pv in self.pvals]
         self.qs = [q for q, _ in decomposed]
         self.Fbands = [_band_F(fr, self.h) for _, fr in decomposed]
         self.Gbands = [_band_G(fr, self.h) for _, fr in decomposed]
@@ -230,7 +230,7 @@ class _Workspace:
         for a, pa in enumerate(self.pvals):
             for b, pb in enumerate(self.pvals):
                 if a != b:
-                    q, fr = _decompose_many(pa - pb, grid)
+                    q, fr = decompose_shift(pa - pb, grid)
                     self.cross[a, b] = (q, fr, _band_F(fr, self.h))
 
     def data_energy(self) -> np.ndarray:

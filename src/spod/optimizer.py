@@ -55,9 +55,12 @@ __all__ = [
 
 VARIABLE_GROUPS = ("coeffs", "paths", "modes")
 
-# a line search gives up after this many backtracking steps
+# a line search starts from the unit step and multiplies it by BACKTRACK_FACTOR
+# until the Armijo rule with ARMIJO_C holds, giving up after MAX_BACKTRACKS
+# steps; it doubles an immediately accepted step at most MAX_EXPANSIONS times
+ARMIJO_C = 1e-4
+BACKTRACK_FACTOR = 0.5
 MAX_BACKTRACKS = 60
-# and may grow an immediately accepted step at most this many times
 MAX_EXPANSIONS = 30
 
 ProgressCallback = Callable[[int, float, float], None]
@@ -75,9 +78,6 @@ class OptimizerConfig:
     max_iters: int = 500
     grad_tol: float = 1e-8
     lbfgs_memory: int = 10
-    armijo_c: float = 1e-4
-    backtrack_factor: float = 0.5
-    initial_step: float = 1.0
     variables: tuple[str, ...] = VARIABLE_GROUPS
     C: float = 1.0
     lam: float = 0.0
@@ -85,14 +85,8 @@ class OptimizerConfig:
     def __post_init__(self) -> None:
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
-        if not 0.0 < self.armijo_c < 1.0:
-            raise ValueError("armijo_c must lie in (0, 1)")
-        if not 0.0 < self.backtrack_factor < 1.0:
-            raise ValueError("backtrack_factor must lie in (0, 1)")
         if self.lbfgs_memory < 1:
             raise ValueError("lbfgs_memory must be at least 1")
-        if not self.initial_step > 0:
-            raise ValueError("initial_step must be positive")
         variables = tuple(self.variables)
         if not variables or any(v not in VARIABLE_GROUPS for v in variables):
             raise ValueError(f"variables must be a nonempty subset of {VARIABLE_GROUPS}")
@@ -258,10 +252,10 @@ def lbfgs_minimize(
             def _search(direction, gd):
                 def _accepts(step, fn):
                     return (
-                        np.isfinite(fn) and fn < f and fn <= f + cfg.armijo_c * step * gd
+                        np.isfinite(fn) and fn < f and fn <= f + ARMIJO_C * step * gd
                     )
 
-                step = cfg.initial_step
+                step = 1.0
                 for bt in range(MAX_BACKTRACKS):
                     xn = x + step * direction
                     if np.array_equal(xn, x):
@@ -273,7 +267,7 @@ def lbfgs_minimize(
                             # the full step already satisfies the decrease
                             # rule: grow it while that stays true, to escape
                             # stagnation on over-short quasi-Newton directions
-                            while step <= cfg.initial_step * 2**MAX_EXPANSIONS:
+                            while step <= 2.0**MAX_EXPANSIONS:
                                 xe = x + 2.0 * step * direction
                                 fe, ge = objective(xe)
                                 if _accepts(2.0 * step, fe) and fe < fn:
@@ -282,7 +276,7 @@ def lbfgs_minimize(
                                 else:
                                     break
                         return xn, fn, gn
-                    step *= cfg.backtrack_factor
+                    step *= BACKTRACK_FACTOR
                 return None
 
             hit = _search(direction, gd)

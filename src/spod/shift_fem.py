@@ -41,7 +41,6 @@ __all__ = [
     "shift_field",
     "eval_p1",
     "quadrature_inner_oracle",
-    "quadrature_inner_dp_oracle",
 ]
 
 # band slot d holds the entry at column l = k - q + BAND_OFFSETS[d]
@@ -70,27 +69,21 @@ class ShiftGram:
         object.__setattr__(self, "band", band)
 
 
-def decompose_shift(p: float, grid: SpatialGrid) -> tuple[int, float]:
-    """Split a shift into whole cells and a fractional rest, modulo the domain.
-
-    Returns ``(q, frac)`` with ``p = q h + frac (mod L)``, ``frac in [0, h)``
-    and ``q in {0, ..., n-1}``.
-    """
-    q, frac = _decompose_many(np.asarray(float(p)), grid)
-    return int(q), float(frac)
-
-
 # fractional parts closer to a cell boundary than this (relative to h) are
 # snapped onto it: there the closed-form band polynomials only reproduce the
 # boundary values up to rounding jitter, while the true change is O(frac^2)
 _SNAP_REL = 1e-9
 
 
-def _decompose_many(p: np.ndarray, grid: SpatialGrid) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized :func:`decompose_shift` for arrays of shifts."""
+def decompose_shift(p, grid: SpatialGrid) -> tuple[np.ndarray, np.ndarray]:
+    """Split shifts into whole cells and fractional rests, modulo the domain.
+
+    Returns integer ``q`` and ``frac`` arrays shaped like ``p`` with
+    ``p = q h + frac (mod L)``, ``frac in [0, h)`` and ``q in {0, ..., n-1}``.
+    """
     L = grid.length
     h = grid.h
-    pm = np.mod(p, L)
+    pm = np.mod(np.asarray(p, dtype=float), L)
     pm = np.where(pm >= L, 0.0, pm)  # mod of tiny negatives can round up to L
     q = np.floor(pm / h).astype(np.int64)
     frac = pm - q * h
@@ -127,6 +120,7 @@ def _band_G(frac: np.ndarray, h: float) -> np.ndarray:
 def gram_F(p: float, grid: SpatialGrid) -> ShiftGram:
     """Gram matrix ``<psi_k, T(p) psi_l>`` of the hat basis against its shift."""
     q, frac = decompose_shift(p, grid)
+    q, frac = int(q), float(frac)
     return ShiftGram(q, frac, _band_F(frac, grid.h), grid.n, grid.h)
 
 
@@ -134,6 +128,7 @@ def gram_G(p: float, grid: SpatialGrid) -> ShiftGram:
     """Gram matrix ``<psi_k, d/dp T(p) psi_l>``; at cell boundaries the
     one-sided value from above is used."""
     q, frac = decompose_shift(p, grid)
+    q, frac = int(q), float(frac)
     return ShiftGram(q, frac, _band_G(frac, grid.h), grid.n, grid.h)
 
 
@@ -218,7 +213,7 @@ def shift_rows(A: np.ndarray, p: np.ndarray, grid: SpatialGrid) -> np.ndarray:
 
     Exact (a pure index rotation) where ``p[k]`` is a whole number of cells.
     """
-    q, frac = _decompose_many(np.asarray(p, dtype=float), grid)
+    q, frac = decompose_shift(p, grid)
     theta = (frac / grid.h)[:, None]
     return (1.0 - theta) * roll_rows(A, q) + theta * roll_rows(A, q + 1)
 
@@ -246,51 +241,29 @@ def eval_p1(v: np.ndarray, grid: SpatialGrid, x: np.ndarray) -> np.ndarray:
 
 
 def quadrature_inner_oracle(
-    a: np.ndarray, b: np.ndarray, p: float, grid: SpatialGrid, panels: int
+    a: np.ndarray, b: np.ndarray, p: float, grid: SpatialGrid, derivative: bool = False
 ) -> float:
-    """Composite-midpoint quadrature of ``<a, T(p) b>`` for P1 fields.
+    """``<a, T(p) b>``, or with ``derivative`` ``<a, d/dp T(p) b>``, for P1
+    fields by quadrature: an independent check of the closed-form Gram bands.
 
-    An independent check of the closed-form Gram assembly; converges at
-    O(panels^-2).  Requires ``panels >= 10 n``.
+    Between consecutive points of ``{nodes} U {nodes + p}`` the field ``a`` is
+    linear and ``T(p) b`` linear (its shift derivative ``-T(p) b'``, by the
+    semigroup generator identity, constant), so 2-point Gauss-Legendre on
+    each such piece is exact up to rounding.  ``a`` and ``T(p) b`` are
+    evaluated pointwise through :func:`eval_p1` and ``b'`` from node
+    differences, not through the band formulas.
     """
-    if panels < 10 * grid.n:
-        raise ValueError(f"need at least {10 * grid.n} panels, got {panels}")
-    dx = grid.length / panels
-    x = (np.arange(panels) + 0.5) * dx
-    fa = eval_p1(np.asarray(a, dtype=float), grid, x)
-    fb = eval_p1(np.asarray(b, dtype=float), grid, x - p)
-    return float(np.dot(fa, fb) * dx)
-
-
-def quadrature_inner_dp_oracle(
-    a: np.ndarray, b: np.ndarray, p: float, grid: SpatialGrid, panels: int
-) -> float:
-    """Composite-midpoint quadrature of ``<a, d/dp T(p) b>``.
-
-    Uses the semigroup generator identity ``d/dp T(p) b = -T(p) b'`` with the
-    piecewise-constant derivative of the P1 field ``b``.  The shifted
-    derivative jumps at the shifted grid nodes, so the panels are aligned
-    with the integrand's breakpoints (the midpoint rule is exact on each
-    linear piece; plain uniform panels would only converge at O(1/panels)).
-    """
-    if panels < 10 * grid.n:
-        raise ValueError(f"need at least {10 * grid.n} panels, got {panels}")
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     L = grid.length
-    cuts = np.unique(
-        np.concatenate([grid.nodes, np.mod(grid.nodes + p, L), [0.0, L]])
-    )
-    total = 0.0
-    for x0, x1 in zip(cuts[:-1], cuts[1:]):
-        if x1 <= x0:
-            continue
-        k = max(1, round(panels * (x1 - x0) / L))
-        dx = (x1 - x0) / k
-        xm = x0 + (np.arange(k) + 0.5) * dx
-        fa = eval_p1(a, grid, xm)
-        xs = np.mod(xm - p, L)
-        cell = np.mod(np.floor(xs / grid.h).astype(np.int64), grid.n)
-        db = (b[np.mod(cell + 1, grid.n)] - b[cell]) / grid.h
-        total += np.dot(fa, -db) * dx
-    return float(total)
+    cuts = np.unique(np.concatenate([grid.nodes, np.mod(grid.nodes + p, L), [0.0, L]]))
+    mid = 0.5 * (cuts[1:] + cuts[:-1])
+    half = 0.5 * (cuts[1:] - cuts[:-1])
+    x = (mid[:, None] + half[:, None] * np.array([-1.0, 1.0]) / np.sqrt(3.0)).ravel()
+    if derivative:
+        # b' is constant on the cell that holds x - p
+        cell = np.mod(np.floor(np.mod(x - p, L) / grid.h).astype(np.int64), grid.n)
+        fb = -(b[np.mod(cell + 1, grid.n)] - b[cell]) / grid.h
+    else:
+        fb = eval_p1(b, grid, x - p)
+    return float(np.dot(np.repeat(half, 2), eval_p1(a, grid, x) * fb))

@@ -271,7 +271,7 @@ class TestExportHeatmap:
         assert out.read_text().startswith("t,x,value")
 
     def test_decomposition_roundtrip_matches(self, tmp_path, exact_fixture_file):
-        from spod.cli import _load_decomposition, _save_decomposition
+        from spod.core import load_decomposition, save_decomposition
         from spod.cost_grad import reconstruct
 
         src, speed = exact_fixture_file
@@ -288,9 +288,9 @@ class TestExportHeatmap:
                 str(dec),
             ]
         )
-        d = _load_decomposition(dec)
+        d = load_decomposition(dec)
         again = tmp_path / "again.decomp"
-        _save_decomposition(d, again)
+        save_decomposition(d, again)
         assert again.read_bytes() == dec.read_bytes()
         reconstruct(d)  # loaded object is well-formed
 
@@ -313,9 +313,10 @@ class TestMalformedInput:
             lambda text: text.replace("path_kind=", "kind=", 1),
             lambda text: text.replace("modes=2 60", "modes=2", 1),
             lambda text: text.replace("\ncoeffs=", " x\ncoeffs=", 1),
+            lambda text: text + "garbage line\n[frame]\n",
         ],
         ids=["cut", "token-without-=", "length-nan", "length-inf", "missing-frame",
-             "wrong-key", "short-shape", "bad-row"],
+             "wrong-key", "short-shape", "bad-row", "trailing-content"],
     )
     def test_decomposition_file(self, tmp_path, capsys, corrupt):
         z = burgers_analytic(BurgersParams(nx_intervals=60, nt_intervals=40))

@@ -22,8 +22,8 @@ from spod.shift_fem import (
     BAND_OFFSETS,
     _band_F,
     _band_G,
-    _decompose_many,
     apply_gram,
+    decompose_shift,
     eval_p1,
     gram_F,
     roll_rows,
@@ -420,7 +420,7 @@ class TestBandKernelsMatchRolls:
     @pytest.mark.parametrize("transpose", [False, True])
     def test_apply_bands_rows(self, rng, band, transpose):
         A = rng.standard_normal((9, self.GRID.n))
-        q, fr = _decompose_many(rng.uniform(-3.0, 3.0, 9), self.GRID)
+        q, fr = decompose_shift(rng.uniform(-3.0, 3.0, 9), self.GRID)
         bands = band(fr, self.GRID.h)
         sign = 1 if transpose else -1
         rolled = np.zeros_like(A)

@@ -421,10 +421,6 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             OptimizerConfig(max_iters=0)
         with pytest.raises(ValueError):
-            OptimizerConfig(armijo_c=1.5)
-        with pytest.raises(ValueError):
-            OptimizerConfig(backtrack_factor=0.0)
-        with pytest.raises(ValueError):
             OptimizerConfig(variables=("coeffs", "bogus"))
         with pytest.raises(ValueError):
             OptimizerConfig(lam=-0.1)

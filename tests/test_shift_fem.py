@@ -12,7 +12,6 @@ from spod.shift_fem import (
     gram_G,
     gram_to_dense,
     periodic_neighbours,
-    quadrature_inner_dp_oracle,
     quadrature_inner_oracle,
     roll_rows,
     shift_field,
@@ -62,7 +61,7 @@ class TestGramF:
             a[2] = 1.0
             b = np.zeros(4)
             b[(2 - g.offset_q + delta) % 4] = 1.0
-            assert abs(quadrature_inner_oracle(a, b, 0.5, grid, 10**4 * 4) - g.band[d]) < 1e-8
+            assert abs(quadrature_inner_oracle(a, b, 0.5, grid) - g.band[d]) < 1e-12
 
     def test_row_sums(self, rng):
         for p in rng.uniform(-3, 3, 50):
@@ -98,7 +97,8 @@ class TestGramG:
             a[3] = 1.0
             b = np.zeros(8)
             b[(3 - g.offset_q + delta) % 8] = 1.0
-            assert abs(quadrature_inner_dp_oracle(a, b, p, grid, 10**4 * 8) - g.band[d]) < 1e-8
+            oracle = quadrature_inner_oracle(a, b, p, grid, derivative=True)
+            assert abs(oracle - g.band[d]) < 1e-12
 
 
 class TestTwoPathGrams:
@@ -299,13 +299,8 @@ class TestQuadratureOracle:
     def test_hat_self_product(self):
         a = np.zeros(GRID.n)
         a[0] = 1.0
-        val = quadrature_inner_oracle(a, a, 0.0, GRID, 10**4 * GRID.n)
-        assert abs(val - 2 * GRID.h / 3) < 1e-8
-
-    def test_panel_requirement(self):
-        a = np.ones(GRID.n)
-        with pytest.raises(ValueError):
-            quadrature_inner_oracle(a, a, 0.0, GRID, GRID.n)
+        val = quadrature_inner_oracle(a, a, 0.0, GRID)
+        assert abs(val - 2 * GRID.h / 3) < 1e-12
 
     def test_band_assembly_agreement(self, rng):
         grid = SpatialGrid(12, 1.0)
@@ -314,7 +309,7 @@ class TestQuadratureOracle:
             b = rng.standard_normal(grid.n)
             p = float(rng.uniform(-2, 2))
             exact = float(a @ apply_gram(gram_F(p, grid), b))
-            assert abs(exact - quadrature_inner_oracle(a, b, p, grid, 10**4 * grid.n)) < 1e-8
+            assert abs(exact - quadrature_inner_oracle(a, b, p, grid)) < 1e-12
 
     def test_half_domain_shift_of_triangle_wave(self):
         # triangle wave min(x, L-x) is P1-exact on an even grid; its overlap
@@ -322,8 +317,8 @@ class TestQuadratureOracle:
         grid = SpatialGrid(16, 2.0)
         x = grid.nodes
         tri = np.minimum(x, grid.length - x)
-        val = quadrature_inner_oracle(tri, tri, grid.length / 2, grid, 10**4 * grid.n)
-        assert abs(val - grid.length**3 / 24) < 1e-8
+        val = quadrature_inner_oracle(tri, tri, grid.length / 2, grid)
+        assert abs(val - grid.length**3 / 24) < 1e-12
         exact = float(tri @ apply_gram(gram_F(grid.length / 2, grid), tri))
         assert abs(exact - grid.length**3 / 24) < 1e-12
 
