@@ -50,6 +50,13 @@ def _write_manifest(out_path: Path, payload: dict) -> Path:
     return manifest_path
 
 
+def _config(args, *skip: str) -> dict:
+    """The parsed arguments for a manifest's ``config``, without the command
+    and the file names, and without ``skip``."""
+    skip = ("command", "input", "output", *skip)
+    return {key: value for key, value in vars(args).items() if key not in skip}
+
+
 def _parse_frame_spec(spec: str, tgrid, default_r: int | None = None):
     """Parse ``r=2,path=linear:0.185`` style frame specifications."""
     import numpy as np
@@ -141,12 +148,6 @@ def _cmd_generate(args) -> int:
             reynolds=args.re, nx_intervals=args.nx, nt_intervals=args.nt
         )
         z = burgers_analytic(params)
-        config = {
-            "dataset": "burgers",
-            "re": args.re,
-            "nx": args.nx,
-            "nt": args.nt,
-        }
     elif args.dataset == "fhn":
         from .generators import FhnParams, fhn_simulate
 
@@ -160,17 +161,6 @@ def _cmd_generate(args) -> int:
             dt_int=args.dt_int,
         )
         z = fhn_simulate(params)
-        config = {
-            "dataset": "fhn",
-            "nu": args.nu,
-            "a": args.a,
-            "eps": args.eps,
-            "b": args.b,
-            "h": args.h,
-            "tfinal": args.tfinal,
-            "dt_int": args.dt_int,
-            "coarsened": args.h != 0.5,
-        }
     else:
         from .core import SpatialGrid, make_uniform_time_grid
         from .generators import TravelingProfile, synthetic_traveling
@@ -184,8 +174,10 @@ def _cmd_generate(args) -> int:
             TravelingProfile(np.exp(-0.5 * ((x - 0.7) / 0.05) ** 2), speed=-0.4),
         ]
         z, _ = synthetic_traveling(profiles, grid, tgrid)
-        config = {"dataset": "synthetic", "nx": args.nx, "nt": args.nt}
 
+    config = _config(args)
+    if args.dataset == "fhn":
+        config["coarsened"] = args.h != 0.5
     out = Path(args.output)
     save_snapshots(z, out)
     _write_manifest(
@@ -245,16 +237,7 @@ def _cmd_decompose(args) -> int:
         "command": "decompose",
         "inputs": [args.input],
         "outputs": [str(out)],
-        "config": {
-            "frames": list(args.frames),
-            "mode": args.mode,
-            "r": args.r,
-            "iters": args.iters,
-            "grad_tol": args.grad_tol,
-            "memory": args.memory,
-            "penalty_lambda": args.penalty_lambda,
-            "penalty_c": args.penalty_c,
-        },
+        "config": _config(args, "require_converged", "progress"),
         "iterations": result.iterations,
         "termination": result.termination,
         "final_cost": float(result.cost_history[-1]),
@@ -296,7 +279,7 @@ def _cmd_pod(args) -> int:
             "command": "pod",
             "inputs": [args.input],
             "outputs": [str(out)],
-            "config": {"r": args.r},
+            "config": _config(args),
             "final_relative_error": err,
             "singular_values": [float(s) for s in pr.singular_values],
             "wall_time_s": time.perf_counter() - t0,

@@ -213,6 +213,8 @@ class _LineReader:
     Used as a context manager: a ``ValueError`` raised inside the block
     becomes a ``SnapshotFormatError`` naming the 1-based line last read, and
     a block that completes must have left nothing but blank lines unread.
+    A count of rows or values that the unread text cannot hold is rejected
+    before anything is allocated for it.
     """
 
     def __init__(self, source: Union[PathLike, IO[str]]):
@@ -225,7 +227,8 @@ class _LineReader:
             text = source.read()
         else:
             text = Path(source).read_text(encoding="utf-8")
-        self._lines = iter(text.splitlines())
+        self._lines = text.splitlines()
+        self._chars = len(text)  # an upper bound on the characters not yet read
         self.lineno = 0
 
     def __enter__(self) -> "_LineReader":
@@ -233,8 +236,7 @@ class _LineReader:
 
     def __exit__(self, exc_type, exc, tb) -> None:
         if exc_type is None:
-            for text in self._lines:
-                self.lineno += 1
+            while (text := self._next()) is not None:
                 if text.strip():
                     raise SnapshotFormatError(
                         f"line {self.lineno}: unexpected content after the data"
@@ -244,7 +246,19 @@ class _LineReader:
 
     def _next(self) -> Optional[str]:
         self.lineno += 1
-        return next(self._lines, None)
+        if self.lineno > len(self._lines):
+            return None
+        text = self._lines[self.lineno - 1]
+        self._chars -= len(text) + 1
+        return text
+
+    def _hold(self, values: int, what: str) -> None:
+        """Reject a count of values the unread text cannot hold, one
+        character each at least, before anything is allocated for them."""
+        if values > self._chars:
+            raise ValueError(
+                f"{what} need {values} values, but only {self._chars} characters follow"
+            )
 
     def line(self, what: str) -> str:
         """The next line, stripped; ``what`` names it if the file ends first."""
@@ -269,8 +283,11 @@ class _LineReader:
         if tokens[0::2] != list(keys) or len(tokens) != 2 * len(keys):
             raise ValueError(f"malformed header {text!r}")
         f = dict(zip(tokens[0::2], tokens[1::2]))
-        grid = SpatialGrid(int(f["nx"]), float(f["length"]))
-        return f, grid, make_uniform_time_grid(int(f["nt"]) - 1, float(f["tfinal"]))
+        nt, nx = int(f["nt"]), int(f["nx"])
+        # both formats hold at least nt + nx values after the header
+        self._hold(nt + nx, "header counts")
+        grid = SpatialGrid(nx, float(f["length"]))
+        return f, grid, make_uniform_time_grid(nt - 1, float(f["tfinal"]))
 
     def value(self, key: str) -> str:
         """The value of the next line, which must read ``key=value``."""
@@ -282,12 +299,13 @@ class _LineReader:
 
     def rows(self, count: int, width: int, what: str) -> np.ndarray:
         """The next ``count`` lines as a ``count x width`` array of finite numbers."""
+        left = len(self._lines) - self.lineno
+        if count > left:
+            raise ValueError(f"expected {count} {what} rows, found {left}")
+        self._hold(count * width, f"{count} x {width} {what} rows")
         out = np.empty((count, width))
         for k in range(count):
-            text = self._next()
-            if text is None:
-                raise ValueError(f"expected {count} {what} rows, found {k}")
-            out[k] = _numbers(text, f"row {k}", width)
+            out[k] = _numbers(self._next(), f"row {k}", width)
         return out
 
 

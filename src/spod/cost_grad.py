@@ -40,6 +40,7 @@ __all__ = [
     "Decomposition",
     "CostGradient",
     "path_values",
+    "path_pullback",
     "reconstruct",
     "eval_cost",
     "eval_cost_gradient",
@@ -95,6 +96,15 @@ def path_values(path: PathRepr, times: np.ndarray) -> np.ndarray:
             )
         return path.values
     return np.polynomial.polynomial.polyval(times, path.values)
+
+
+def path_pullback(path: PathRepr, times: np.ndarray, nodal: np.ndarray) -> np.ndarray:
+    """A gradient with respect to the samples ``p(t_k)`` as one with respect
+    to ``path.values``: unchanged for nodal paths, through the transposed
+    Vandermonde of the monomial basis for polynomial ones."""
+    if path.kind == "nodal":
+        return nodal
+    return np.vander(times, path.values.size, increasing=True).T @ nodal
 
 
 @dataclass(frozen=True, eq=False)
@@ -307,8 +317,8 @@ class _Workspace:
 def reconstruct(d: Decomposition) -> SnapshotSet:
     """Evaluate the decomposition to nodal snapshot values.
 
-    Row ``k`` is the sum over frames and modes of
-    ``coeffs[k, i] * shift_field(p(t_k), mode_i)``.
+    Row ``k`` is the sum over frames of ``sum_i coeffs[k, i] * mode_i``
+    shifted by ``p(t_k)`` (:func:`~spod.shift_fem.shift_rows`).
     """
     times = d.tgrid.times
     out = np.zeros((times.size, d.grid.n))
@@ -327,8 +337,8 @@ def eval_cost(z: SnapshotSet, d: Decomposition) -> float:
 def eval_cost_gradient(z: SnapshotSet, d: Decomposition) -> CostGradient:
     """Cost together with its gradients w.r.t. coefficients, paths, and modes.
 
-    Polynomial path gradients are the nodal gradients pushed through the
-    monomial basis (transposed Vandermonde).
+    Polynomial path gradients are the nodal gradients pulled back through
+    the monomial basis (:func:`path_pullback`).
     """
     ws = _Workspace(z, d)
     FZ, GZ, R, RN = ws.frame_products(want_grad=True)
@@ -337,12 +347,7 @@ def eval_cost_gradient(z: SnapshotSet, d: Decomposition) -> CostGradient:
     for fi, f in enumerate(d.frames):
         g_coeffs.append(ws.w[:, None] * (R[fi] - FZ[fi]))
         xi = f.coeffs * (RN[fi] - GZ[fi])
-        nodal = ws.w * xi.sum(axis=1)
-        if f.path.kind == "polynomial":
-            V = np.vander(ws.times, f.path.values.size, increasing=True)
-            g_paths.append(V.T @ nodal)
-        else:
-            g_paths.append(nodal)
+        g_paths.append(path_pullback(f.path, ws.times, ws.w * xi.sum(axis=1)))
         g_modes.append(ws.mode_gradient(fi))
     return CostGradient(value, tuple(g_coeffs), tuple(g_paths), tuple(g_modes))
 
@@ -442,7 +447,7 @@ def penalty_gradient(d: Decomposition, C: float) -> CostGradient:
     ``(F(0)+K) phi_i / |phi_i|_Y`` in mode row ``i``, or
     ``(w p + D^T (w p')) / |p|_H1`` in the path, once per such mode of the
     frame (``D`` is the map of ``np.gradient``; polynomial paths go through
-    the transposed Vandermonde).  Ties between norms resolve to the first of
+    :func:`path_pullback`).  Ties between norms resolve to the first of
     (coefficients, path, mode).  Pairs at or below ``C`` contribute exact
     zeros.
     """
@@ -468,9 +473,9 @@ def penalty_gradient(d: Decomposition, C: float) -> CostGradient:
                 gm[i] = ymodes[i] / largest
         if path_scale:
             pdot = np.gradient(pv, times)
-            gp = path_scale * (w * pv + _gradient_transpose(w * pdot, times))
-            if f.path.kind == "polynomial":
-                gp = np.vander(times, f.path.values.size, increasing=True).T @ gp
+            gp = path_pullback(
+                f.path, times, path_scale * (w * pv + _gradient_transpose(w * pdot, times))
+            )
         g_coeffs.append(gc)
         g_paths.append(gp)
         g_modes.append(gm)

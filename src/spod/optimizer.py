@@ -20,7 +20,8 @@ Everything is deterministic: no randomized initialization anywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import deque
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -35,6 +36,7 @@ from .cost_grad import (
     eval_cost,
     eval_cost_gradient,
     path_gradient_nodal,
+    path_pullback,
     path_values,
     penalty_gradient,
 )
@@ -44,7 +46,6 @@ __all__ = [
     "VARIABLE_GROUPS",
     "OptimizerConfig",
     "OptimizerResult",
-    "LbfgsHistory",
     "pack",
     "unpack",
     "pack_gradient",
@@ -99,9 +100,13 @@ class OptimizerConfig:
 
 @dataclass(frozen=True, eq=False)
 class OptimizerResult:
-    """Best-found decomposition with the monotone cost trace."""
+    """Best-found decomposition with the monotone cost trace.
 
-    decomposition: Decomposition
+    :func:`lbfgs_minimize` leaves ``decomposition`` as ``None``; the drivers
+    fill it in from the final point.
+    """
+
+    decomposition: Optional[Decomposition]
     cost_history: np.ndarray
     grad_norm_history: np.ndarray
     iterations: int
@@ -109,23 +114,22 @@ class OptimizerResult:
     isometry_defect: Optional[float] = None
 
 
-@dataclass(frozen=True, eq=False)
-class LbfgsHistory:
-    cost_history: np.ndarray
-    grad_norm_history: np.ndarray
-    iterations: int
-    termination: str
+# storage order of each block in the packed vector
+_ORDER = {"coeffs": "F", "paths": "C", "modes": "C"}
 
 
-def _frame_sizes(f: Frame, variables: Sequence[str]) -> list[tuple[str, int]]:
-    sizes = []
-    if "coeffs" in variables:
-        sizes.append(("coeffs", f.coeffs.size))
-    if "paths" in variables:
-        sizes.append(("paths", f.path.values.size))
-    if "modes" in variables:
-        sizes.append(("modes", f.modes.size))
-    return sizes
+def _flatten(blocks, variables: Sequence[str]) -> np.ndarray:
+    """Concatenate the selected blocks of per-frame ``(coeffs, path, modes)``
+    triples: frames in sequence, blocks in :data:`VARIABLE_GROUPS` order."""
+    parts = [
+        block.ravel(order=_ORDER[name])
+        for frame in blocks
+        for name, block in zip(VARIABLE_GROUPS, frame)
+        if name in variables
+    ]
+    if not parts:
+        raise ValueError("no variables selected")
+    return np.concatenate(parts)
 
 
 def pack(d: Decomposition, variables: Sequence[str] = VARIABLE_GROUPS) -> np.ndarray:
@@ -134,17 +138,7 @@ def pack(d: Decomposition, variables: Sequence[str] = VARIABLE_GROUPS) -> np.nda
     Order: frames in sequence; per frame coefficients column-major, then the
     path, then modes row-major.
     """
-    parts = []
-    for f in d.frames:
-        if "coeffs" in variables:
-            parts.append(f.coeffs.flatten(order="F"))
-        if "paths" in variables:
-            parts.append(f.path.values)
-        if "modes" in variables:
-            parts.append(f.modes.flatten(order="C"))
-    if not parts:
-        raise ValueError("no variables selected")
-    return np.concatenate(parts)
+    return _flatten(((f.coeffs, f.path.values, f.modes) for f in d.frames), variables)
 
 
 def unpack(
@@ -156,19 +150,17 @@ def unpack(
     frames = []
     pos = 0
     for f in template.frames:
-        coeffs, path, modes = f.coeffs, f.path, f.modes
-        for name, size in _frame_sizes(f, variables):
-            block = x[pos : pos + size]
-            if block.size != size:
-                raise ValueError("packed vector too short for the template")
-            if name == "coeffs":
-                coeffs = block.reshape(f.coeffs.shape, order="F")
-            elif name == "paths":
-                path = PathRepr(f.path.kind, block)
-            else:
-                modes = block.reshape(f.modes.shape, order="C")
-            pos += size
-        frames.append(Frame(path, modes, coeffs))
+        blocks = [f.coeffs, f.path.values, f.modes]
+        for i, name in enumerate(VARIABLE_GROUPS):
+            if name in variables:
+                size = blocks[i].size
+                block = x[pos : pos + size]
+                if block.size != size:
+                    raise ValueError("packed vector too short for the template")
+                blocks[i] = block.reshape(blocks[i].shape, order=_ORDER[name])
+                pos += size
+        coeffs, values, modes = blocks
+        frames.append(Frame(PathRepr(f.path.kind, values), modes, coeffs))
     if pos != x.size:
         raise ValueError(f"packed vector has {x.size} entries, expected {pos}")
     return Decomposition(tuple(frames), template.grid, template.tgrid)
@@ -177,34 +169,59 @@ def unpack(
 def pack_gradient(
     g: CostGradient, d: Decomposition, variables: Sequence[str] = VARIABLE_GROUPS
 ) -> np.ndarray:
-    """Flatten gradient blocks in the same order as :func:`pack`."""
-    parts = []
-    for fi in range(len(d.frames)):
-        if "coeffs" in variables:
-            parts.append(g.g_coeffs[fi].flatten(order="F"))
-        if "paths" in variables:
-            parts.append(g.g_paths[fi])
-        if "modes" in variables:
-            parts.append(g.g_modes[fi].flatten(order="C"))
-    return np.concatenate(parts)
+    """Flatten the gradient of ``d``'s cost in the same order as :func:`pack`."""
+    if len(g.g_coeffs) != len(d.frames):
+        raise ValueError(f"gradient has {len(g.g_coeffs)} frames, expected {len(d.frames)}")
+    return _flatten(zip(g.g_coeffs, g.g_paths, g.g_modes), variables)
 
 
-def _two_loop(
-    g: np.ndarray, s_list: list[np.ndarray], y_list: list[np.ndarray], rho: list[float]
-) -> np.ndarray:
+def _two_loop(g: np.ndarray, memory: deque) -> np.ndarray:
+    """The L-BFGS direction ``-H g`` from the ``(s, y, 1/s.y)`` memory."""
     q = g.copy()
     alphas = []
-    for s, y, r in zip(reversed(s_list), reversed(y_list), reversed(rho)):
-        a = r * np.dot(s, q)
+    for s, y, rho in reversed(memory):
+        a = rho * np.dot(s, q)
         alphas.append(a)
         q -= a * y
-    if s_list:
-        gamma = np.dot(s_list[-1], y_list[-1]) / np.dot(y_list[-1], y_list[-1])
-        q *= gamma
-    for (s, y, r), a in zip(zip(s_list, y_list, rho), reversed(alphas)):
-        b = r * np.dot(y, q)
-        q += (a - b) * s
+    if memory:
+        s, y, _ = memory[-1]
+        q *= np.dot(s, y) / np.dot(y, y)
+    for (s, y, rho), a in zip(memory, reversed(alphas)):
+        q += (a - rho * np.dot(y, q)) * s
     return -q
+
+
+def _line_search(objective, x: np.ndarray, f: float, direction: np.ndarray, gd: float):
+    """Armijo backtracking from the unit step along ``direction`` (with
+    ``gd`` the directional derivative): the accepted ``(x, f, g)``, or
+    ``None`` once ``MAX_BACKTRACKS`` steps failed or a step no longer moves
+    ``x``.  A step is accepted only if it also lowers the cost."""
+
+    def accepts(step, fn):
+        return np.isfinite(fn) and fn < f and fn <= f + ARMIJO_C * step * gd
+
+    step = 1.0
+    for bt in range(MAX_BACKTRACKS):
+        xn = x + step * direction
+        if np.array_equal(xn, x):
+            # step underflowed against x: no progress possible
+            return None
+        fn, gn = objective(xn)
+        if accepts(step, fn):
+            if bt == 0:
+                # the full step already satisfies the decrease rule: grow it
+                # while that stays true, to escape stagnation on over-short
+                # quasi-Newton directions
+                while step <= 2.0**MAX_EXPANSIONS:
+                    xe = x + 2.0 * step * direction
+                    fe, ge = objective(xe)
+                    if not (accepts(2.0 * step, fe) and fe < fn):
+                        break
+                    step *= 2.0
+                    xn, fn, gn = xe, fe, ge
+            return xn, fn, gn
+        step *= BACKTRACK_FACTOR
+    return None
 
 
 def lbfgs_minimize(
@@ -212,17 +229,18 @@ def lbfgs_minimize(
     x0: np.ndarray,
     cfg: OptimizerConfig,
     callback: Optional[ProgressCallback] = None,
-) -> tuple[np.ndarray, LbfgsHistory]:
+) -> tuple[np.ndarray, OptimizerResult]:
     """Two-loop-recursion L-BFGS with Armijo backtracking.
 
-    Terminates when the gradient infinity norm drops to ``grad_tol``, after
-    ``max_iters`` accepted steps, or when a line search fails: 60 backtracks
-    in a row, or a step that no longer moves ``x`` (retried once from a
-    cleared memory before giving up).  A step is accepted only if it lowers
-    the cost as well as meeting the Armijo rule, so the cost trace is
-    strictly decreasing, and once the Armijo decrease rounds away against
-    the cost the search ends instead of taking steps that leave the cost
-    unchanged.
+    Returns the final point and its trace, an :class:`OptimizerResult` with
+    no decomposition.  Terminates when the gradient infinity norm drops to
+    ``grad_tol``, after ``max_iters`` accepted steps, or when a line search
+    fails: 60 backtracks in a row, or a step that no longer moves ``x``
+    (retried once from a cleared memory before giving up).  A step is
+    accepted only if it lowers the cost as well as meeting the Armijo rule,
+    so the cost trace is strictly decreasing, and once the Armijo decrease
+    rounds away against the cost the search ends instead of taking steps
+    that leave the cost unchanged.
     """
     x = np.array(x0, dtype=float)
     f, g = objective(x)
@@ -230,84 +248,46 @@ def lbfgs_minimize(
         raise ValueError("objective is not finite at the initial point")
     costs = [float(f)]
     gnorms = [float(np.max(np.abs(g)))]
-    s_list: list[np.ndarray] = []
-    y_list: list[np.ndarray] = []
-    rho: list[float] = []
-    termination = "max-iters"
+    memory: deque = deque(maxlen=cfg.lbfgs_memory)
     iterations = 0
     if callback is not None:
         callback(0, costs[0], gnorms[0])
-    if gnorms[0] <= cfg.grad_tol:
-        termination = "converged"
-    else:
-        for it in range(1, cfg.max_iters + 1):
-            direction = _two_loop(g, s_list, y_list, rho)
-            gd = float(np.dot(g, direction))
-            if gd >= 0.0:
-                # not a descent direction: fall back to steepest descent
-                s_list.clear(), y_list.clear(), rho.clear()
-                direction = -g
-                gd = -float(np.dot(g, g))
-
-            def _search(direction, gd):
-                def _accepts(step, fn):
-                    return (
-                        np.isfinite(fn) and fn < f and fn <= f + ARMIJO_C * step * gd
-                    )
-
-                step = 1.0
-                for bt in range(MAX_BACKTRACKS):
-                    xn = x + step * direction
-                    if np.array_equal(xn, x):
-                        # step underflowed against x: no progress possible
-                        return None
-                    fn, gn = objective(xn)
-                    if _accepts(step, fn):
-                        if bt == 0:
-                            # the full step already satisfies the decrease
-                            # rule: grow it while that stays true, to escape
-                            # stagnation on over-short quasi-Newton directions
-                            while step <= 2.0**MAX_EXPANSIONS:
-                                xe = x + 2.0 * step * direction
-                                fe, ge = objective(xe)
-                                if _accepts(2.0 * step, fe) and fe < fn:
-                                    step *= 2.0
-                                    xn, fn, gn = xe, fe, ge
-                                else:
-                                    break
-                        return xn, fn, gn
-                    step *= BACKTRACK_FACTOR
-                return None
-
-            hit = _search(direction, gd)
-            if hit is None and s_list:
-                # quasi-Newton direction failed: restart from steepest descent
-                s_list.clear(), y_list.clear(), rho.clear()
-                hit = _search(-g, -float(np.dot(g, g)))
-            if hit is None:
-                termination = "line-search-failure"
-                break
-            xn, fn, gn = hit
-            s = xn - x
-            y = gn - g
-            sy = float(np.dot(s, y))
-            if sy > 1e-10 * float(np.linalg.norm(s) * np.linalg.norm(y)):
-                s_list.append(s)
-                y_list.append(y)
-                rho.append(1.0 / sy)
-                if len(s_list) > cfg.lbfgs_memory:
-                    s_list.pop(0), y_list.pop(0), rho.pop(0)
-            x, f, g = xn, fn, gn
-            iterations = it
-            costs.append(float(f))
-            gnorms.append(float(np.max(np.abs(g))))
-            if callback is not None:
-                callback(it, costs[-1], gnorms[-1])
-            if gnorms[-1] <= cfg.grad_tol:
-                termination = "converged"
-                break
-    history = LbfgsHistory(np.array(costs), np.array(gnorms), iterations, termination)
-    return x, history
+    while True:
+        if gnorms[-1] <= cfg.grad_tol:
+            termination = "converged"
+            break
+        if iterations == cfg.max_iters:
+            termination = "max-iters"
+            break
+        direction = _two_loop(g, memory)
+        gd = float(np.dot(g, direction))
+        if gd >= 0.0:
+            # not a descent direction: fall back to steepest descent
+            memory.clear()
+            direction = -g
+            gd = -float(np.dot(g, g))
+        hit = _line_search(objective, x, f, direction, gd)
+        if hit is None and memory:
+            # quasi-Newton direction failed: restart from steepest descent
+            memory.clear()
+            hit = _line_search(objective, x, f, -g, -float(np.dot(g, g)))
+        if hit is None:
+            termination = "line-search-failure"
+            break
+        xn, fn, gn = hit
+        s = xn - x
+        y = gn - g
+        sy = float(np.dot(s, y))
+        if sy > 1e-10 * float(np.linalg.norm(s) * np.linalg.norm(y)):
+            memory.append((s, y, 1.0 / sy))
+        x, f, g = xn, fn, gn
+        iterations += 1
+        costs.append(float(f))
+        gnorms.append(float(np.max(np.abs(g))))
+        if callback is not None:
+            callback(iterations, costs[-1], gnorms[-1])
+    result = OptimizerResult(None, np.array(costs), np.array(gnorms), iterations, termination)
+    return x, result
 
 
 def optimize_decomposition(
@@ -337,14 +317,8 @@ def optimize_decomposition(
             gx = gx + cfg.lam * pack_gradient(pen, d, variables)
         return value, gx
 
-    xs, hist = lbfgs_minimize(objective, x0, cfg, callback)
-    return OptimizerResult(
-        unpack(xs, d0, variables),
-        hist.cost_history,
-        hist.grad_norm_history,
-        hist.iterations,
-        hist.termination,
-    )
+    xs, result = lbfgs_minimize(objective, x0, cfg, callback)
+    return replace(result, decomposition=unpack(xs, d0, variables))
 
 
 def optimize_path_only(
@@ -379,11 +353,6 @@ def optimize_path_only(
     sqw = np.sqrt(z.tgrid.weights)
     if path0.kind == "nodal" and path0.values.size != nt:
         raise ValueError(f"nodal path has {path0.values.size} samples, expected {nt}")
-    vander = (
-        np.vander(times, path0.values.size, increasing=True)
-        if path0.kind == "polynomial"
-        else None
-    )
 
     # right singular vectors of the previous evaluation: the warm start
     warm = None
@@ -402,21 +371,11 @@ def optimize_path_only(
 
     def objective(x: np.ndarray) -> tuple[float, np.ndarray]:
         cost, d = inner(x)
-        nodal = path_gradient_nodal(z, d)[0]
-        if vander is not None:
-            return cost, vander.T @ nodal
-        return cost, nodal
+        return cost, path_pullback(d.frames[0].path, times, path_gradient_nodal(z, d)[0])
 
-    xs, hist = lbfgs_minimize(objective, np.array(path0.values, dtype=float), cfg, callback)
+    xs, result = lbfgs_minimize(objective, np.array(path0.values, dtype=float), cfg, callback)
     # a cold start: the full SVD, with its LAPACK signs, at the final path
     warm = None
     final_cost, d_final = inner(xs)
     defect = abs(final_cost - eval_cost(z, d_final))
-    return OptimizerResult(
-        d_final,
-        hist.cost_history,
-        hist.grad_norm_history,
-        hist.iterations,
-        hist.termination,
-        isometry_defect=defect,
-    )
+    return replace(result, decomposition=d_final, isometry_defect=defect)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import spod
-from spod.cli import main
+from spod.cli import _build_parser, main
 from spod.core import SpatialGrid, load_snapshots, make_uniform_time_grid, save_snapshots
 from spod.generators import BurgersParams, TravelingProfile, burgers_analytic, synthetic_traveling
 
@@ -54,6 +54,36 @@ class TestGenerate:
         with pytest.raises(SystemExit) as exc:
             main(["generate", "burgers"])
         assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv, skipped",
+    [
+        (["generate", "burgers", "--re", "500", "--nx", "20", "--nt", "10"], ()),
+        (["generate", "fhn", "--tfinal", "2", "--h", "1.0", "--dt-int", "0.05"], ()),
+        (["generate", "synthetic", "--nx", "16", "--nt", "8"], ()),
+        (["decompose", "{src}", "--frames", "r=1,path=linear:0.5", "--iters", "2",
+          "--memory", "3", "--penalty-lambda", "0.5", "--progress"],
+         ("require_converged", "progress")),
+        (["decompose", "{src}", "--mode", "path-only", "--r", "1",
+          "--frames", "r=1,path=linear:0.5", "--iters", "2"],
+         ("require_converged", "progress")),
+        (["pod", "{src}", "--r", "2"], ()),
+    ],
+    ids=["burgers", "fhn", "synthetic", "decompose", "path-only", "pod"],
+)
+def test_manifest_config_echoes_every_parsed_argument(tmp_path, exact_fixture_file, argv, skipped):
+    """A rerun from the manifest needs every option: none may drop out of its config."""
+    src, _ = exact_fixture_file
+    out = tmp_path / "out"
+    argv = [str(src) if a == "{src}" else a for a in argv] + ["-o", str(out)]
+    assert main(argv) == 0
+    dropped = {"command", "input", "output", *skipped}
+    expected = {k: v for k, v in vars(_build_parser().parse_args(argv)).items() if k not in dropped}
+    config = json.loads(out.with_name("out.manifest.json").read_text())["config"]
+    assert {k: config.get(k, "<missing>") for k in expected} == expected
+    derived = {"coarsened"} if argv[1] == "fhn" else set()
+    assert set(config) - set(expected) == derived
 
 
 class TestDecompose:
@@ -141,6 +171,22 @@ class TestDecompose:
         assert code == 0
         manifest = json.loads((tmp_path / "nf.decomp.manifest.json").read_text())
         assert manifest["final_relative_error"] <= 1e-10
+
+    def test_progress_prints_every_iteration(self, tmp_path, capsys):
+        data = tmp_path / "b.spod"
+        save_snapshots(burgers_analytic(BurgersParams(nx_intervals=60, nt_intervals=40)), data)
+        out = tmp_path / "b.decomp"
+        capsys.readouterr()
+        argv = ["decompose", str(data), "--frames", "r=2,path=linear:0.185", "--iters", "12",
+                "--progress", "-o", str(out)]
+        assert main(argv) == 0
+        lines = capsys.readouterr().err.splitlines()
+        manifest = json.loads((tmp_path / "b.decomp.manifest.json").read_text())
+        assert manifest["iterations"] > 0
+        fields = [line.split() for line in lines]
+        assert [f[0] for f in fields] == ["iter"] * len(lines)
+        assert [int(f[1]) for f in fields] == list(range(manifest["iterations"] + 1))
+        assert fields[-1][2:4] == ["cost", f"{manifest['final_cost']:.6e}"]
 
     def test_require_converged_failure_exit(self, tmp_path, exact_fixture_file):
         src, speed = exact_fixture_file
@@ -312,11 +358,12 @@ class TestMalformedInput:
             lambda text: text.replace("nframes=1", "nframes=2", 1),
             lambda text: text.replace("path_kind=", "kind=", 1),
             lambda text: text.replace("modes=2 60", "modes=2", 1),
+            lambda text: text.replace("modes=2 60", "modes=2 100000000000", 1),
             lambda text: text.replace("\ncoeffs=", " x\ncoeffs=", 1),
             lambda text: text + "garbage line\n[frame]\n",
         ],
         ids=["cut", "token-without-=", "length-nan", "length-inf", "missing-frame",
-             "wrong-key", "short-shape", "bad-row", "trailing-content"],
+             "wrong-key", "short-shape", "huge-shape", "bad-row", "trailing-content"],
     )
     def test_decomposition_file(self, tmp_path, capsys, corrupt):
         z = burgers_analytic(BurgersParams(nx_intervals=60, nt_intervals=40))
@@ -336,7 +383,8 @@ class TestMalformedInput:
     @pytest.mark.parametrize(
         "header",
         ["nt 21 nx 40 length nan tfinal 1", "nt 21 nx 40 length inf tfinal 1",
-         "nt 21 nx 40 length 1 tfinal inf", "nt 21 nx 40 length -inf tfinal 1"],
+         "nt 21 nx 40 length 1 tfinal inf", "nt 21 nx 40 length -inf tfinal 1",
+         "nt 100000000000 nx 4 length 1 tfinal 1", "nt 2 nx 100000000000 length 1 tfinal 1"],
     )
     def test_snapshot_file(self, tmp_path, capsys, exact_fixture_file, header):
         src, _ = exact_fixture_file
