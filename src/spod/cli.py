@@ -239,6 +239,8 @@ def _cmd_decompose(args) -> int:
         "outputs": [str(out)],
         "config": _config(args, "require_converged", "progress"),
         "iterations": result.iterations,
+        "n_objective_evals": result.n_evals,
+        "n_gradient_evals": result.n_gradients,
         "termination": result.termination,
         "final_cost": float(result.cost_history[-1]),
         "final_relative_error": err,

@@ -96,6 +96,8 @@ class TimeGrid:
     weights: np.ndarray
 
     def __eq__(self, other: object) -> bool:
+        if other is self:
+            return True
         if not isinstance(other, TimeGrid):
             return NotImplemented
         return np.array_equal(self.times, other.times) and np.array_equal(

@@ -15,6 +15,7 @@ coefficients, paths, and modes follow the same assembly.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, field
 from typing import Literal
 
@@ -208,19 +209,40 @@ def _apply_bands_rows(
     return roll_rows(out, -sign * qs)
 
 
+# per-row data energy of each snapshot set; weak keys, so no snapshot set is
+# kept alive by it, and one O(nt) array per set, never its data rows
+_DATA_ENERGY: "weakref.WeakKeyDictionary[SnapshotSet, np.ndarray]" = weakref.WeakKeyDictionary()
+
+
+def _data_energy(z: SnapshotSet) -> np.ndarray:
+    """Per-time-step ``z_k^T F(0) z_k``, computed once per snapshot set (its
+    values are read-only, so the result never goes stale)."""
+    energy = _DATA_ENERGY.get(z)
+    if energy is None:
+        F0, _ = zero_shift_grams(z.grid)
+        energy = np.einsum("kl,kl->k", z.values, apply_gram(F0, z.values))
+        energy.setflags(write=False)
+        _DATA_ENERGY[z] = energy
+    return energy
+
+
 class _Workspace:
     """Shared per-evaluation state for cost and gradient assembly.
 
     Built once per evaluation: each frame's path samples, whole-cell offsets
-    and F/G bands, its rolled modes and the data rows rotated into its
-    alignment, and for every ordered pair of frames ``(a, b)`` the offsets,
-    fractional parts and F band of the relative shift ``p_a - p_b``.  The
-    zero-shift Grams come from the per-grid cache of ``shift_fem``.
+    and F bands (G bands too with ``want_grad``), its rolled modes and the
+    data rows rotated into its alignment, and for every ordered pair of
+    frames ``(a, b)`` the offsets, fractional parts and F band of the
+    relative shift ``p_a - p_b``.  The zero-shift Grams come from the
+    per-grid cache of ``shift_fem``, the data energy from the per-snapshot-set
+    cache above.
     """
 
-    def __init__(self, z: SnapshotSet, d: Decomposition):
+    def __init__(self, z: SnapshotSet, d: Decomposition, want_grad: bool):
         _check_same_grids(z, d)
+        self.z = z
         self.d = d
+        self.want_grad = want_grad
         grid = d.grid
         self.h = grid.h
         self.times = d.tgrid.times
@@ -231,7 +253,7 @@ class _Workspace:
         decomposed = [decompose_shift(pv, grid) for pv in self.pvals]
         self.qs = [q for q, _ in decomposed]
         self.Fbands = [_band_F(fr, self.h) for _, fr in decomposed]
-        self.Gbands = [_band_G(fr, self.h) for _, fr in decomposed]
+        self.Gbands = [_band_G(fr, self.h) for _, fr in decomposed] if want_grad else None
         self.rolls = [_mode_rolls(f.modes) for f in d.frames]
         self.U = [f.coeffs @ f.modes for f in d.frames]
         # data rows aligned with each frame's whole-cell offset
@@ -243,13 +265,10 @@ class _Workspace:
                     q, fr = decompose_shift(pa - pb, grid)
                     self.cross[a, b] = (q, fr, _band_F(fr, self.h))
 
-    def data_energy(self) -> np.ndarray:
-        """Per-time-step ``z_k^T F(0) z_k``."""
-        return np.einsum("kl,kl->k", self.Z, apply_gram(self.F0, self.Z))
-
-    def frame_products(self, want_grad: bool):
+    def frame_products(self):
         """Per frame: data products FZ (and GZ), reconstruction products R (and RN)."""
         d = self.d
+        want_grad = self.want_grad
         nf = len(d.frames)
         FZ, GZ, R, RN = [], [], [], []
         for fi, f in enumerate(d.frames):
@@ -295,7 +314,7 @@ class _Workspace:
         # the cost is a small difference of large sums near a good fit, so
         # accumulate all weighted addends exactly (the data-energy terms and
         # the frame terms cancel addend-by-addend for exact reconstructions)
-        addends = [self.w * self.data_energy()]
+        addends = [self.w * _data_energy(self.z)]
         for f, fz, rmat in zip(self.d.frames, FZ, R):
             addends.append(self.w * np.einsum("ki,ki->k", f.coeffs, rmat - 2.0 * fz))
         return 0.5 * math.fsum(np.concatenate(addends).tolist())
@@ -328,9 +347,13 @@ def reconstruct(d: Decomposition) -> SnapshotSet:
 
 
 def eval_cost(z: SnapshotSet, d: Decomposition) -> float:
-    """Quadrature-weighted squared-residual cost, assembled via Gram matrices."""
-    ws = _Workspace(z, d)
-    FZ, _, R, _ = ws.frame_products(want_grad=False)
+    """Quadrature-weighted squared-residual cost, assembled via Gram matrices.
+
+    Bitwise equal to ``eval_cost_gradient(z, d).value``: the same products,
+    summed in the same order, without the gradient's G bands and products.
+    """
+    ws = _Workspace(z, d, want_grad=False)
+    FZ, _, R, _ = ws.frame_products()
     return ws.cost_from_products(FZ, R)
 
 
@@ -340,8 +363,8 @@ def eval_cost_gradient(z: SnapshotSet, d: Decomposition) -> CostGradient:
     Polynomial path gradients are the nodal gradients pulled back through
     the monomial basis (:func:`path_pullback`).
     """
-    ws = _Workspace(z, d)
-    FZ, GZ, R, RN = ws.frame_products(want_grad=True)
+    ws = _Workspace(z, d, want_grad=True)
+    FZ, GZ, R, RN = ws.frame_products()
     value = ws.cost_from_products(FZ, R)
     g_coeffs, g_paths, g_modes = [], [], []
     for fi, f in enumerate(d.frames):
@@ -358,8 +381,8 @@ def path_gradient_nodal(z: SnapshotSet, d: Decomposition) -> list[np.ndarray]:
     This is the partial gradient used by the reduced path-only optimization,
     where coefficients and modes sit at an inner minimizer.
     """
-    ws = _Workspace(z, d)
-    _, GZ, _, RN = ws.frame_products(want_grad=True)
+    ws = _Workspace(z, d, want_grad=True)
+    _, GZ, _, RN = ws.frame_products()
     out = []
     for fi, f in enumerate(d.frames):
         xi = f.coeffs * (RN[fi] - GZ[fi])
@@ -369,9 +392,7 @@ def path_gradient_nodal(z: SnapshotSet, d: Decomposition) -> list[np.ndarray]:
 
 def data_norm_sq(z: SnapshotSet) -> float:
     """Squared data norm ``sum_k w_k z_k^T F(0) z_k`` (the cost's own metric)."""
-    F0, _ = zero_shift_grams(z.grid)
-    zz = np.einsum("kl,kl->k", z.values, apply_gram(F0, z.values))
-    return float(np.dot(z.tgrid.weights, zz))
+    return float(np.dot(z.tgrid.weights, _data_energy(z)))
 
 
 def _discrete_h1_norm_sq(pv: np.ndarray, tgrid: TimeGrid) -> float:

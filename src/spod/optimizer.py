@@ -15,6 +15,12 @@ Two drivers share one L-BFGS core:
   the partial path gradient of the reconstructed-frame cost at the inner
   solution, not the gradient of the objective being minimized.
 
+An objective maps a point to ``(f, gradient)``: the value, and a
+zero-argument callable that returns the gradient there.  The Armijo line
+search decides on values alone, so :func:`lbfgs_minimize` calls ``gradient``
+only at the start point and at the point each line search accepts; a
+rejected or superseded trial costs one value evaluation, never a gradient.
+
 Everything is deterministic: no randomized initialization anywhere.
 """
 
@@ -39,6 +45,7 @@ from .cost_grad import (
     path_pullback,
     path_values,
     penalty_gradient,
+    penalty_value,
 )
 from .shift_fem import shift_rows
 
@@ -65,6 +72,8 @@ MAX_BACKTRACKS = 60
 MAX_EXPANSIONS = 30
 
 ProgressCallback = Callable[[int, float, float], None]
+# a point -> its value and a deferred gradient there (see the module docstring)
+Objective = Callable[[np.ndarray], tuple[float, Callable[[], np.ndarray]]]
 
 
 @dataclass(frozen=True)
@@ -103,7 +112,8 @@ class OptimizerResult:
     """Best-found decomposition with the monotone cost trace.
 
     :func:`lbfgs_minimize` leaves ``decomposition`` as ``None``; the drivers
-    fill it in from the final point.
+    fill it in from the final point.  ``n_evals`` counts objective (value)
+    evaluations, ``n_gradients`` the gradients taken of them.
     """
 
     decomposition: Optional[Decomposition]
@@ -111,6 +121,8 @@ class OptimizerResult:
     grad_norm_history: np.ndarray
     iterations: int
     termination: str
+    n_evals: int
+    n_gradients: int
     isometry_defect: Optional[float] = None
 
 
@@ -191,11 +203,12 @@ def _two_loop(g: np.ndarray, memory: deque) -> np.ndarray:
     return -q
 
 
-def _line_search(objective, x: np.ndarray, f: float, direction: np.ndarray, gd: float):
+def _line_search(objective: Objective, x: np.ndarray, f: float, direction: np.ndarray, gd: float):
     """Armijo backtracking from the unit step along ``direction`` (with
-    ``gd`` the directional derivative): the accepted ``(x, f, g)``, or
-    ``None`` once ``MAX_BACKTRACKS`` steps failed or a step no longer moves
-    ``x``.  A step is accepted only if it also lowers the cost."""
+    ``gd`` the directional derivative): the accepted ``(x, f, gradient)``,
+    its gradient not yet taken, or ``None`` once ``MAX_BACKTRACKS`` steps
+    failed or a step no longer moves ``x``.  A step is accepted only if it
+    also lowers the cost."""
 
     def accepts(step, fn):
         return np.isfinite(fn) and fn < f and fn <= f + ARMIJO_C * step * gd
@@ -206,7 +219,7 @@ def _line_search(objective, x: np.ndarray, f: float, direction: np.ndarray, gd: 
         if np.array_equal(xn, x):
             # step underflowed against x: no progress possible
             return None
-        fn, gn = objective(xn)
+        fn, gradient = objective(xn)
         if accepts(step, fn):
             if bt == 0:
                 # the full step already satisfies the decrease rule: grow it
@@ -214,23 +227,28 @@ def _line_search(objective, x: np.ndarray, f: float, direction: np.ndarray, gd: 
                 # quasi-Newton directions
                 while step <= 2.0**MAX_EXPANSIONS:
                     xe = x + 2.0 * step * direction
-                    fe, ge = objective(xe)
+                    fe, gradient_e = objective(xe)
                     if not (accepts(2.0 * step, fe) and fe < fn):
                         break
                     step *= 2.0
-                    xn, fn, gn = xe, fe, ge
-            return xn, fn, gn
+                    xn, fn, gradient = xe, fe, gradient_e
+            return xn, fn, gradient
         step *= BACKTRACK_FACTOR
     return None
 
 
 def lbfgs_minimize(
-    objective: Callable[[np.ndarray], tuple[float, np.ndarray]],
+    objective: Objective,
     x0: np.ndarray,
     cfg: OptimizerConfig,
     callback: Optional[ProgressCallback] = None,
 ) -> tuple[np.ndarray, OptimizerResult]:
     """Two-loop-recursion L-BFGS with Armijo backtracking.
+
+    ``objective(x)`` returns ``(f, gradient)`` with ``gradient`` a
+    zero-argument callable.  Line-search trials read only ``f``, so
+    ``gradient`` is called exactly once at ``x0`` and once at each accepted
+    point: ``iterations + 1`` times in all.
 
     Returns the final point and its trace, an :class:`OptimizerResult` with
     no decomposition.  Terminates when the gradient infinity norm drops to
@@ -242,8 +260,17 @@ def lbfgs_minimize(
     rounds away against the cost the search ends instead of taking steps
     that leave the cost unchanged.
     """
+    n_evals = 0
+
+    def evaluate(x: np.ndarray):
+        nonlocal n_evals
+        n_evals += 1
+        return objective(x)
+
     x = np.array(x0, dtype=float)
-    f, g = objective(x)
+    f, gradient = evaluate(x)
+    g = gradient()
+    n_gradients = 1
     if not (np.isfinite(f) and np.all(np.isfinite(g))):
         raise ValueError("objective is not finite at the initial point")
     costs = [float(f)]
@@ -266,15 +293,17 @@ def lbfgs_minimize(
             memory.clear()
             direction = -g
             gd = -float(np.dot(g, g))
-        hit = _line_search(objective, x, f, direction, gd)
+        hit = _line_search(evaluate, x, f, direction, gd)
         if hit is None and memory:
             # quasi-Newton direction failed: restart from steepest descent
             memory.clear()
-            hit = _line_search(objective, x, f, -g, -float(np.dot(g, g)))
+            hit = _line_search(evaluate, x, f, -g, -float(np.dot(g, g)))
         if hit is None:
             termination = "line-search-failure"
             break
-        xn, fn, gn = hit
+        xn, fn, gradient = hit
+        gn = gradient()
+        n_gradients += 1
         s = xn - x
         y = gn - g
         sy = float(np.dot(s, y))
@@ -286,7 +315,9 @@ def lbfgs_minimize(
         gnorms.append(float(np.max(np.abs(g))))
         if callback is not None:
             callback(iterations, costs[-1], gnorms[-1])
-    result = OptimizerResult(None, np.array(costs), np.array(gnorms), iterations, termination)
+    result = OptimizerResult(
+        None, np.array(costs), np.array(gnorms), iterations, termination, n_evals, n_gradients
+    )
     return x, result
 
 
@@ -299,23 +330,30 @@ def optimize_decomposition(
     """Minimize the (penalized) cost over the selected variable blocks,
     starting from the supplied decomposition.
 
-    With ``cfg.lam > 0`` each objective evaluation adds one
-    :func:`~spod.cost_grad.penalty_gradient` call: the penalty and its
-    closed-form subgradient, at the cost of one penalty evaluation.
+    Each objective evaluation is one :func:`~spod.cost_grad.eval_cost`
+    call; its deferred gradient is one
+    :func:`~spod.cost_grad.eval_cost_gradient` call.  With ``cfg.lam > 0``
+    they add one :func:`~spod.cost_grad.penalty_value` and one
+    :func:`~spod.cost_grad.penalty_gradient` call (the closed-form
+    subgradient) respectively.  The values agree bitwise with those of the
+    gradient calls, so the line search sees the same costs either way.
     """
     variables = cfg.variables
     x0 = pack(d0, variables)
 
-    def objective(x: np.ndarray) -> tuple[float, np.ndarray]:
+    def objective(x: np.ndarray):
         d = unpack(x, d0, variables)
-        grad = eval_cost_gradient(z, d)
-        value = grad.value
-        gx = pack_gradient(grad, d, variables)
+        value = eval_cost(z, d)
         if cfg.lam > 0.0:
-            pen = penalty_gradient(d, cfg.C)
-            value += cfg.lam * pen.value
-            gx = gx + cfg.lam * pack_gradient(pen, d, variables)
-        return value, gx
+            value += cfg.lam * penalty_value(d, cfg.C)
+
+        def gradient() -> np.ndarray:
+            gx = pack_gradient(eval_cost_gradient(z, d), d, variables)
+            if cfg.lam > 0.0:
+                gx = gx + cfg.lam * pack_gradient(penalty_gradient(d, cfg.C), d, variables)
+            return gx
+
+        return value, gradient
 
     xs, result = lbfgs_minimize(objective, x0, cfg, callback)
     return replace(result, decomposition=unpack(xs, d0, variables))
@@ -369,9 +407,9 @@ def optimize_path_only(
         frame = Frame(path, modes, coeffs)
         return cost, Decomposition((frame,), z.grid, z.tgrid)
 
-    def objective(x: np.ndarray) -> tuple[float, np.ndarray]:
+    def objective(x: np.ndarray):
         cost, d = inner(x)
-        return cost, path_pullback(d.frames[0].path, times, path_gradient_nodal(z, d)[0])
+        return cost, lambda: path_pullback(d.frames[0].path, times, path_gradient_nodal(z, d)[0])
 
     xs, result = lbfgs_minimize(objective, np.array(path0.values, dtype=float), cfg, callback)
     # a cold start: the full SVD, with its LAPACK signs, at the final path

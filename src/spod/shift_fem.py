@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import SpatialGrid, _frozen_array
 
@@ -199,11 +198,13 @@ def roll_rows(A: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Rotate each row by its own whole number of cells:
     ``out[k, l] = A[k, (l - q[k]) mod n]``.
 
-    Row ``k`` is a window into the row doubled end to end, so no index array
-    is built.
+    Row ``k`` is a window into the row doubled end to end: all windows are
+    one strided view of the doubled rows, so no index array is built.
     """
     nt, n = A.shape
-    windows = sliding_window_view(np.concatenate([A, A], axis=1), n, axis=1)
+    doubled = np.concatenate([A, A], axis=1)
+    row, col = doubled.strides
+    windows = np.ndarray((nt, n, n), doubled.dtype, doubled, strides=(row, col, col))
     return windows[np.arange(nt), np.mod(-np.asarray(q), n)]
 
 

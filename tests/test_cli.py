@@ -106,6 +106,7 @@ class TestDecompose:
         manifest = json.loads((tmp_path / "exact.decomp.manifest.json").read_text())
         assert manifest["final_relative_error"] <= 1e-10
         assert manifest["iterations"] == 0
+        assert manifest["n_objective_evals"] == manifest["n_gradient_evals"] == 1
         assert manifest["termination"] == "converged"
 
     def test_outputs_are_deterministic(self, tmp_path, exact_fixture_file):
@@ -183,6 +184,8 @@ class TestDecompose:
         lines = capsys.readouterr().err.splitlines()
         manifest = json.loads((tmp_path / "b.decomp.manifest.json").read_text())
         assert manifest["iterations"] > 0
+        assert manifest["n_gradient_evals"] == manifest["iterations"] + 1
+        assert manifest["n_objective_evals"] > manifest["n_gradient_evals"]
         fields = [line.split() for line in lines]
         assert [f[0] for f in fields] == ["iter"] * len(lines)
         assert [int(f[1]) for f in fields] == list(range(manifest["iterations"] + 1))

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -106,6 +109,15 @@ class TestEvalCost:
         )
         assert eval_cost(z, d) == pytest.approx(0.5 * data_norm_sq(z), rel=1e-13)
 
+    def test_data_energy_cache_keeps_no_snapshot_set_alive(self, rng):
+        z, d = random_instance(rng, 16, 8, [2], ["nodal"])
+        eval_cost(z, d)
+        data_norm_sq(z)
+        ref = weakref.ref(z)
+        del z
+        gc.collect()
+        assert ref() is None
+
     def test_matches_residual_quadrature_oracle(self, rng):
         n, m = 12, 6
         z, d = random_instance(rng, n, m, [2, 1], ["nodal", "polynomial"])
@@ -201,6 +213,21 @@ class TestGradient:
             xm[i] -= step
             fd = (eval_cost(z, unpack(xp, d)) - eval_cost(z, unpack(xm, d))) / (2 * step)
             assert abs(analytic[i] - fd) <= 1e-5 * max(abs(fd), 1e-4)
+
+    @pytest.mark.parametrize(
+        "kinds", [("nodal",), ("polynomial",), ("nodal", "polynomial"), ("polynomial", "nodal")]
+    )
+    def test_value_only_calls_equal_gradient_values_bitwise(self, rng, kinds):
+        # line-search trials read eval_cost / penalty_value and accepted
+        # points eval_cost_gradient / penalty_gradient: a fit's trajectory
+        # does not depend on which one produced a value only if they agree
+        for _ in range(10):
+            n, m = int(rng.integers(12, 33)), int(rng.integers(4, 21))
+            shapes = [int(rng.integers(1, 4)) for _ in kinds]
+            z, d = random_instance(rng, n, m, shapes, kinds)
+            assert eval_cost(z, d) == eval_cost_gradient(z, d).value
+            C = float(rng.uniform(0.5, 20.0))
+            assert penalty_value(d, C) == penalty_gradient(d, C).value
 
     def test_polynomial_equals_vandermonde_pushforward(self, rng):
         coeffs_poly = np.array([0.07, -0.2, 0.11])

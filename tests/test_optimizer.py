@@ -111,38 +111,74 @@ class TestPacking:
             unpack(np.zeros(pack(d).size + 1), d)
 
 
+def quadratic(A, b):
+    """The objective ``x^T A x / 2 - b^T x`` with its deferred gradient."""
+
+    def objective(x):
+        return 0.5 * float(x @ A @ x) - float(b @ x), lambda: A @ x - b
+
+    return objective
+
+
+def rosenbrock(x):
+    a, b = x
+    f = (1 - a) ** 2 + 100 * (b - a * a) ** 2
+    return f, lambda: np.array([-2 * (1 - a) - 400 * a * (b - a * a), 200 * (b - a * a)])
+
+
+def well_conditioned_quadratic(rng):
+    A = rng.standard_normal((10, 10))
+    A = A @ A.T + 10 * np.eye(10)
+    # keep the optimal value small so the Armijo decreases stay above
+    # floating-point resolution all the way down to the tolerance
+    b = 1e-2 * rng.standard_normal(10)
+    return A, b
+
+
 class TestLbfgs:
     def test_quadratic_matches_direct_solve(self, rng):
-        A = rng.standard_normal((10, 10))
-        A = A @ A.T + 10 * np.eye(10)
-        # keep the optimal value small so the Armijo decreases stay above
-        # floating-point resolution all the way down to the tolerance
-        b = 1e-2 * rng.standard_normal(10)
-
-        def objective(x):
-            return 0.5 * float(x @ A @ x) - float(b @ x), A @ x - b
-
+        A, b = well_conditioned_quadratic(rng)
         cfg = OptimizerConfig(max_iters=50, grad_tol=1e-10)
-        x, hist = lbfgs_minimize(objective, np.zeros(10), cfg)
+        x, hist = lbfgs_minimize(quadratic(A, b), np.zeros(10), cfg)
         assert hist.termination == "converged"
         assert hist.iterations <= 50
         assert np.max(np.abs(x - np.linalg.solve(A, b))) < 1e-9
 
     def test_rosenbrock(self):
-        def objective(x):
-            a, b = x
-            f = (1 - a) ** 2 + 100 * (b - a * a) ** 2
-            g = np.array([-2 * (1 - a) - 400 * a * (b - a * a), 200 * (b - a * a)])
-            return f, g
-
         cfg = OptimizerConfig(max_iters=500, grad_tol=1e-10)
-        x, hist = lbfgs_minimize(objective, np.array([-1.2, 1.0]), cfg)
-        f, _ = objective(x)
+        x, hist = lbfgs_minimize(rosenbrock, np.array([-1.2, 1.0]), cfg)
+        f, _ = rosenbrock(x)
         assert f < 1e-8
+
+    @pytest.mark.parametrize("case", ["quadratic", "rosenbrock"])
+    def test_gradient_only_at_start_and_accepted_points(self, rng, case):
+        if case == "quadratic":
+            objective, x0 = quadratic(*well_conditioned_quadratic(rng)), np.zeros(10)
+        else:
+            objective, x0 = rosenbrock, np.array([-1.2, 1.0])
+        evals = gradients = 0
+
+        def counted(x):
+            nonlocal evals
+            evals += 1
+            f, gradient = objective(x)
+
+            def counted_gradient():
+                nonlocal gradients
+                gradients += 1
+                return gradient()
+
+            return f, counted_gradient
+
+        _, hist = lbfgs_minimize(counted, x0, OptimizerConfig(max_iters=500, grad_tol=1e-10))
+        assert hist.termination == "converged"
+        assert gradients == hist.n_gradients == hist.iterations + 1
+        # every expansion or backtrack is a trial whose gradient is never taken
+        assert evals == hist.n_evals > gradients
 
     def test_stationary_start_returns_immediately(self):
         def objective(x):
-            return float(x @ x), 2 * x
+            return float(x @ x), lambda: 2 * x
 
         x, hist = lbfgs_minimize(objective, np.zeros(4), OptimizerConfig(grad_tol=1e-12))
         assert hist.iterations == 0
@@ -150,7 +186,7 @@ class TestLbfgs:
 
     def test_nonfinite_start_rejected(self):
         def objective(x):
-            return np.inf, x
+            return np.inf, lambda: x
 
         with pytest.raises(ValueError):
             lbfgs_minimize(objective, np.zeros(2), OptimizerConfig())
@@ -160,10 +196,9 @@ class TestLbfgs:
         A = A @ A.T + np.eye(8)
         b = rng.standard_normal(8)
 
-        def objective(x):
-            return 0.5 * float(x @ A @ x) - float(b @ x), A @ x - b
-
-        _, hist = lbfgs_minimize(objective, rng.standard_normal(8), OptimizerConfig(max_iters=40))
+        _, hist = lbfgs_minimize(
+            quadratic(A, b), rng.standard_normal(8), OptimizerConfig(max_iters=40)
+        )
         assert np.all(np.diff(hist.cost_history) <= 0)
 
     def test_rounded_away_decrease_ends_the_search(self):
@@ -174,7 +209,7 @@ class TestLbfgs:
         def objective(x):
             nonlocal evals
             evals += 1
-            return 1e20 + float(np.sum(x)), np.ones_like(x)
+            return 1e20 + float(np.sum(x)), lambda: np.ones_like(x)
 
         _, hist = lbfgs_minimize(objective, np.ones(3), OptimizerConfig(max_iters=1000))
         assert hist.termination == "line-search-failure"
