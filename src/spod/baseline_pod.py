@@ -5,9 +5,11 @@ square roots of the time-quadrature weights, columns by a symmetric square
 root of the P1 mass matrix, so that the truncation error is measured in
 exactly the space-time norm the shifted-mode cost minimizes.  The mass
 matrix is circulant, so its square root comes from its Fourier symbol.
-The path-only fit needs only the leading singular triplets of that weighted
-matrix at each path, which ``_leading_svd`` finds by a block subspace
-iteration warm-started from the previous path.
+The path-only fit solves the same problem at each path for the data pulled
+back by the transposed shift Grams, weighted on the right by the inverse mass
+root instead.  It needs only the leading singular triplets, which
+``_leading_svd`` finds by a block subspace iteration warm-started from the
+previous path.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ __all__ = [
     "pod",
     "pod_reconstruction",
     "as_decomposition",
-    "x_weighted_relative_error",
 ]
 
 # block subspace iteration in _leading_svd: block width k = min(3 r, nt, n)
@@ -87,25 +88,18 @@ def _apply_symbol(rows: np.ndarray, symbol: np.ndarray) -> np.ndarray:
     return np.fft.irfft(np.fft.rfft(rows, axis=1) * symbol[: n // 2 + 1], n=n, axis=1)
 
 
-def _weighted_matrix(
-    values: np.ndarray, grid: SpatialGrid, weights: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """The doubly weighted matrix ``B = W^{1/2} Z R`` (``R`` the symmetric
-    square root of the mass matrix) and the Fourier symbol of ``R``."""
-    sq = np.sqrt(_mass_symbol(grid))
-    return np.sqrt(weights)[:, None] * _apply_symbol(values, sq), sq
-
-
 def _weighted_svd(
     values: np.ndarray, grid: SpatialGrid, weights: np.ndarray, r: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """SVD of the doubly weighted matrix ``B = W^{1/2} Z R``, whose plain SVD
-    is the weighted POD.
+    """SVD of the doubly weighted matrix ``B = W^{1/2} Z R`` (``R`` the
+    symmetric square root of the mass matrix), whose plain SVD is the
+    weighted POD.
 
     Returns the leading ``r`` left singular vectors, all singular values, and
     the ``r`` X-orthonormal mode rows ``R^{-1} v_i``.
     """
-    B, sq = _weighted_matrix(values, grid, weights)
+    sq = np.sqrt(_mass_symbol(grid))
+    B = np.sqrt(weights)[:, None] * _apply_symbol(values, sq)
     U, s, Vt = np.linalg.svd(B, full_matrices=False)
     return U[:, :r], s, _apply_symbol(Vt[:r], 1.0 / sq)
 
@@ -154,24 +148,6 @@ def _leading_svd(
     return U[:, :r], s[:r], Vt[:k].T, 0.5 * float(np.dot(s[r:], s[r:]))
 
 
-def _weighted_leading_svd(
-    values: np.ndarray,
-    grid: SpatialGrid,
-    weights: np.ndarray,
-    r: int,
-    V: Optional[np.ndarray] = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, np.ndarray]:
-    """:func:`_leading_svd` of ``B = W^{1/2} Z R``.
-
-    Returns the leading ``r`` left singular vectors and singular values, the
-    ``r`` X-orthonormal mode rows, the discarded energy, and the right
-    singular vectors that warm-start the next call.
-    """
-    B, sq = _weighted_matrix(values, grid, weights)
-    U, s, V, discarded = _leading_svd(B, r, V)
-    return U, s, _apply_symbol(V[:, :r].T, 1.0 / sq), discarded, V
-
-
 def pod(z: SnapshotSet, r: int) -> PodResult:
     """Weighted POD of a snapshot set.
 
@@ -195,22 +171,3 @@ def as_decomposition(pr: PodResult, grid: SpatialGrid, tgrid: TimeGrid) -> Decom
     """View a POD result as a single zero-path frame."""
     frame = Frame(PathRepr.polynomial([0.0]), pr.modes, pr.coeffs)
     return Decomposition((frame,), grid, tgrid)
-
-
-def x_weighted_relative_error(z: SnapshotSet, zhat: SnapshotSet) -> float:
-    """Relative error in the POD's own norm: time weights plus mass matrix.
-
-    This is the metric in which the POD truncation identity
-    ``err(r)^2 = sum_{i>r} s_i^2 / sum_i s_i^2`` is exact; the reporting
-    metric ``core.relative_l2_error`` differs from it by spatial quadrature.
-    """
-    if z.grid != zhat.grid or z.tgrid != zhat.tgrid:
-        raise ValueError("snapshot sets live on different grids")
-    F0, _ = zero_shift_grams(z.grid)
-    w = z.tgrid.weights
-    diff = z.values - zhat.values
-    num = float(np.dot(w, np.einsum("kl,kl->k", diff, apply_gram(F0, diff))))
-    den = float(np.dot(w, np.einsum("kl,kl->k", z.values, apply_gram(F0, z.values))))
-    if den == 0.0:
-        raise ZeroDivisionError("relative error undefined: data is identically zero")
-    return float(np.sqrt(num / den))

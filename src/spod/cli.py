@@ -218,11 +218,15 @@ def _cmd_decompose(args) -> int:
     if args.mode == "path-only":
         if len(args.frames) != 1:
             raise CliError("path-only mode takes exactly one --frames spec", USAGE_EXIT)
+        if args.penalty_lambda > 0:
+            raise CliError("path-only mode takes no --penalty-lambda", USAGE_EXIT)
         r, path0 = _parse_frame_spec(args.frames[0], z.tgrid, default_r=args.r)
         if args.r is not None:
             r = args.r
         result = optimize_path_only(z, path0, r, cfg, callback=progress)
     else:
+        if args.r is not None:
+            raise CliError("--r applies to path-only mode; give r= in --frames", USAGE_EXIT)
         d0 = _initial_decomposition(z, args.frames)
         result = optimize_decomposition(z, d0, cfg, callback=progress)
 
@@ -463,6 +467,27 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _keep_freed_memory() -> None:
+    """Keep the arrays freed by one objective evaluation for the next (glibc).
+
+    By default glibc serves arrays above a threshold that moves with earlier
+    frees from fresh mmaps, and returns the top of the heap to the system
+    whenever a few hundred KiB there are free, so every evaluation's
+    temporaries page-fault in again.  How often depends on where unrelated
+    long-lived objects happen to sit in the heap: the five Burgers fits of
+    ``benchmarks/`` made 0.3 to 0.8 million minor faults depending on the code
+    layout alone, and ~12 thousand with these settings.  Elsewhere a no-op.
+    """
+    import ctypes
+
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD: arrays up to 32 MiB from the heap
+    mallopt(-1, 128 << 20)  # M_TRIM_THRESHOLD
+
+
 _COMMANDS = {
     "generate": _cmd_generate,
     "decompose": _cmd_decompose,
@@ -477,6 +502,7 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = _build_parser()
     args = parser.parse_args(argv)
+    _keep_freed_memory()
     try:
         return _COMMANDS[args.command](args)
     except CliError as exc:

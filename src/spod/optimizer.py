@@ -4,16 +4,18 @@ Two drivers share one L-BFGS core:
 
 * :func:`optimize_decomposition` minimizes the (optionally penalized) cost
   over any subset of {coefficients, paths, modes}.
-* :func:`optimize_path_only` minimizes a reduced objective in the path
-  alone: at each path the coefficients and modes are the leading singular
-  triplets of the weighted data shifted into the co-moving frame.  The first
-  evaluation takes them from a full SVD; every later one runs a block
-  subspace iteration warm-started from the previous evaluation's right
-  singular vectors, falling back to the full SVD when the block has not
-  settled.  The nodal shift interpolates and is not an isometry, so that
-  objective is not the reconstructed-frame cost, and the outer gradient is
-  the partial path gradient of the reconstructed-frame cost at the inner
-  solution, not the gradient of the objective being minimized.
+* :func:`optimize_path_only` minimizes the same cost over the path alone,
+  with the coefficients and modes at their best rank-``r`` values for each
+  path (variable projection; Golub & Pereyra, SIAM J. Numer. Anal. 1973).
+  For a fixed path the cost is a weighted POD problem: its minimum is the
+  truncation of ``B = W^{1/2} Y M^{-1/2}``, the rows of ``Y`` being the data
+  pulled back by the transposed shift Grams, ``y_k = F(p_k)^T z_k``, and
+  ``M = F(0)`` the mass matrix.  The first evaluation takes the leading
+  singular triplets from a full SVD; every later one runs a block subspace
+  iteration warm-started from the previous evaluation's right singular
+  vectors, falling back to the full SVD when the block has not settled.  By
+  the envelope theorem the partial path gradient of the cost at the inner
+  minimizer is the gradient of the reduced objective.
 
 An objective maps a point to ``(f, gradient)``: the value, and a
 zero-argument callable that returns the gradient there.  The Armijo line
@@ -26,19 +28,22 @@ Everything is deterministic: no randomized initialization anywhere.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .baseline_pod import _weighted_leading_svd
+from .baseline_pod import _apply_symbol, _leading_svd, _mass_symbol
 from .core import SnapshotSet
 from .cost_grad import (
     CostGradient,
     Decomposition,
     Frame,
     PathRepr,
+    _apply_bands_rows,
+    _data_energy,
     eval_cost,
     eval_cost_gradient,
     path_gradient_nodal,
@@ -47,7 +52,7 @@ from .cost_grad import (
     penalty_gradient,
     penalty_value,
 )
-from .shift_fem import shift_rows
+from .shift_fem import _band_F, decompose_shift
 
 __all__ = [
     "VARIABLE_GROUPS",
@@ -368,29 +373,35 @@ def optimize_path_only(
 ) -> OptimizerResult:
     """Single-frame reduced optimization over the path alone.
 
-    At each path the data is shifted into the co-moving frame, the best
-    rank-``r`` coefficients and modes follow from the leading ``r`` weighted
-    singular triplets there, and the reduced cost is half the energy of the
-    discarded singular values.  The first evaluation runs the full SVD; later
-    ones run a block subspace iteration on ``min(3 r, nt, n)`` columns,
-    warm-started from the previous evaluation's right singular vectors,
-    which falls back to the full SVD when it has not settled (see
-    :func:`spod.baseline_pod._leading_svd`).  The returned decomposition is
-    rebuilt from the full SVD at the final path.
+    At each path the best rank-``r`` coefficients and modes follow from the
+    leading ``r`` singular triplets of ``B = W^{1/2} Y M^{-1/2}`` (see the
+    module docstring), and the reduced objective is the cost there,
 
-    Because the nodal shift is interpolatory rather than exactly
-    isometric, the residual is measured in the co-moving frame; the gap to
-    the reconstructed-frame cost is reported as ``isometry_defect``.  It is
-    not small in general: on the FitzHugh-Nagumo wave train (r = 4, h = 0.5,
-    acceptance criterion 5) it measures 3.4.
+        J*(p) = 1/2 (sum_k w_k z_k^T M z_k - ||B||_F^2) + 1/2 sum_{i>r} s_i(B)^2.
+
+    The first evaluation runs the full SVD; later ones run a block subspace
+    iteration on ``min(3 r, nt, n)`` columns, warm-started from the previous
+    evaluation's right singular vectors, which falls back to the full SVD
+    when it has not settled (see :func:`spod.baseline_pod._leading_svd`).
+    The gradient is :func:`~spod.cost_grad.path_gradient_nodal` at the inner
+    solution.  The returned decomposition is rebuilt from the full SVD at
+    the final path; ``isometry_defect`` is the gap between the last reduced
+    value and :func:`~spod.cost_grad.eval_cost` of that decomposition, a
+    rounding-level consistency check.  The admissible-set penalty is not
+    supported: ``cfg.lam`` must be 0.
     """
     nt, n = z.values.shape
     if not 1 <= r <= min(nt, n):
         raise ValueError(f"rank {r} out of range for {nt} x {n} data")
+    if cfg.lam > 0.0:
+        raise ValueError("the path-only fit takes no admissible-set penalty (lam must be 0)")
     times = z.tgrid.times
     sqw = np.sqrt(z.tgrid.weights)
     if path0.kind == "nodal" and path0.values.size != nt:
         raise ValueError(f"nodal path has {path0.values.size} samples, expected {nt}")
+    # Fourier symbol of M^{-1/2} and the weighted data energy w_k z_k^T M z_k
+    inv_root = 1.0 / np.sqrt(_mass_symbol(z.grid))
+    energy = z.tgrid.weights * _data_energy(z)
 
     # right singular vectors of the previous evaluation: the warm start
     warm = None
@@ -398,14 +409,19 @@ def optimize_path_only(
     def inner(x: np.ndarray) -> tuple[float, Decomposition]:
         nonlocal warm
         path = PathRepr(path0.kind, x)
-        pv = path_values(path, times)
-        comoving = shift_rows(z.values, -pv, z.grid)
-        U, s, modes, cost, warm = _weighted_leading_svd(
-            comoving, z.grid, z.tgrid.weights, r, warm
-        )
+        q, frac = decompose_shift(path_values(path, times), z.grid)
+        # B = W^{1/2} Y M^{-1/2} with rows y_k = F(p_k)^T z_k (Y freed before the SVD)
+        Y = _apply_bands_rows(_band_F(frac, z.grid.h), q, z.values, transpose=True)
+        B = _apply_symbol(Y, inv_root)
+        del Y
+        B *= sqw[:, None]
+        # w_k (z_k^T M z_k - y_k^T M^{-1} y_k) >= 0 per row, summed exactly
+        projected = math.fsum(np.concatenate([energy, -np.einsum("kl,kl->k", B, B)]).tolist())
+        U, s, warm, discarded = _leading_svd(B, r, warm)
+        modes = _apply_symbol(warm[:, :r].T, inv_root)
         coeffs = (U * s) / sqw[:, None]
         frame = Frame(path, modes, coeffs)
-        return cost, Decomposition((frame,), z.grid, z.tgrid)
+        return 0.5 * projected + discarded, Decomposition((frame,), z.grid, z.tgrid)
 
     def objective(x: np.ndarray):
         cost, d = inner(x)

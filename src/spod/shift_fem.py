@@ -34,12 +34,9 @@ __all__ = [
     "stiffness_gram",
     "periodic_neighbours",
     "apply_gram",
-    "gram_to_dense",
     "roll_rows",
     "shift_rows",
     "shift_field",
-    "eval_p1",
-    "quadrature_inner_oracle",
 ]
 
 # band slot d holds the entry at column l = k - q + BAND_OFFSETS[d]
@@ -184,16 +181,6 @@ def apply_gram(gram: ShiftGram, v: np.ndarray) -> np.ndarray:
     return out
 
 
-def gram_to_dense(gram: ShiftGram) -> np.ndarray:
-    """Materialize the full circulant matrix (test and debug tooling)."""
-    n = gram.n
-    dense = np.zeros((n, n))
-    rows = np.arange(n)
-    for d, delta in enumerate(BAND_OFFSETS):
-        dense[rows, (rows - gram.offset_q + delta) % n] += gram.band[d]
-    return dense
-
-
 def roll_rows(A: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Rotate each row by its own whole number of cells:
     ``out[k, l] = A[k, (l - q[k]) mod n]``.
@@ -227,44 +214,3 @@ def shift_field(p: float, v: np.ndarray, grid: SpatialGrid) -> np.ndarray:
         raise ValueError(f"vector length {v.shape[-1]} does not match n={grid.n}")
     rows = np.atleast_2d(v)
     return shift_rows(rows, np.full(rows.shape[0], float(p)), grid).reshape(v.shape)
-
-
-def eval_p1(v: np.ndarray, grid: SpatialGrid, x: np.ndarray) -> np.ndarray:
-    """Evaluate the periodic P1 interpolant with nodal values ``v`` at ``x``."""
-    v = np.asarray(v, dtype=float)
-    x = np.asarray(x, dtype=float)
-    s = np.mod(x, grid.length) / grid.h
-    cell = np.floor(s).astype(np.int64)
-    theta = s - cell
-    cell = np.mod(cell, grid.n)
-    nxt = np.mod(cell + 1, grid.n)
-    return (1.0 - theta) * v[cell] + theta * v[nxt]
-
-
-def quadrature_inner_oracle(
-    a: np.ndarray, b: np.ndarray, p: float, grid: SpatialGrid, derivative: bool = False
-) -> float:
-    """``<a, T(p) b>``, or with ``derivative`` ``<a, d/dp T(p) b>``, for P1
-    fields by quadrature: an independent check of the closed-form Gram bands.
-
-    Between consecutive points of ``{nodes} U {nodes + p}`` the field ``a`` is
-    linear and ``T(p) b`` linear (its shift derivative ``-T(p) b'``, by the
-    semigroup generator identity, constant), so 2-point Gauss-Legendre on
-    each such piece is exact up to rounding.  ``a`` and ``T(p) b`` are
-    evaluated pointwise through :func:`eval_p1` and ``b'`` from node
-    differences, not through the band formulas.
-    """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    L = grid.length
-    cuts = np.unique(np.concatenate([grid.nodes, np.mod(grid.nodes + p, L), [0.0, L]]))
-    mid = 0.5 * (cuts[1:] + cuts[:-1])
-    half = 0.5 * (cuts[1:] - cuts[:-1])
-    x = (mid[:, None] + half[:, None] * np.array([-1.0, 1.0]) / np.sqrt(3.0)).ravel()
-    if derivative:
-        # b' is constant on the cell that holds x - p
-        cell = np.mod(np.floor(np.mod(x - p, L) / grid.h).astype(np.int64), grid.n)
-        fb = -(b[np.mod(cell + 1, grid.n)] - b[cell]) / grid.h
-    else:
-        fb = eval_p1(b, grid, x - p)
-    return float(np.dot(np.repeat(half, 2), eval_p1(a, grid, x) * fb))

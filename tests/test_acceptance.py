@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from spod.baseline_pod import pod, pod_reconstruction, truncated_svd, x_weighted_relative_error
+from spod.baseline_pod import pod, pod_reconstruction, truncated_svd
 from spod.core import SnapshotSet, SpatialGrid, make_uniform_time_grid, relative_l2_error
 from spod.cost_grad import (
     Decomposition,
@@ -37,8 +37,9 @@ from spod.shift_fem import (
     decompose_shift,
     gram_F,
     gram_G,
-    quadrature_inner_oracle,
 )
+
+from oracles import quadrature_inner_oracle, x_weighted_relative_error
 
 TABLE_POD = [4.499e-1, 2.853e-1, 2.102e-1, 1.654e-1, 1.347e-1]
 TABLE_SPOD = [1.217e-1, 2.887e-2, 1.312e-2, 8.406e-3, 6.565e-3]
@@ -200,13 +201,16 @@ def test_criterion_5_fhn_path_only(fhn_data):
     res = optimize_path_only(z, path0, 4, cfg)
     err = relative_l2_error(z, reconstruct(res.decomposition))
     elapsed = time.perf_counter() - t0
-    ok = err <= 0.20 and pod_err >= 0.25
+    # the reduced objective is the cost at its inner minimum: the two agree
+    # to rounding
+    ok = err <= 0.20 and pod_err >= 0.25 and res.isometry_defect <= 1e-9 * res.cost_history[-1]
     _report(
         5,
         "wave-train path-only vs POD",
         ok,
         f"path-only r=4 error {err:.4f} (bound 0.20), POD r=4 error {pod_err:.4f} (bound >= 0.25), "
-        f"isometry defect {res.isometry_defect:.2e}",
+        f"isometry defect {res.isometry_defect:.2e} (bound 1e-9 x cost {res.cost_history[-1]:.4e}), "
+        f"{res.n_evals} evaluations, {res.n_gradients} gradients",
         elapsed,
         1200,
     )

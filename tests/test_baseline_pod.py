@@ -6,15 +6,14 @@ from spod.baseline_pod import (
     _apply_symbol,
     _leading_svd,
     _mass_symbol,
-    _weighted_leading_svd,
-    _weighted_svd,
     pod,
     pod_reconstruction,
     truncated_svd,
-    x_weighted_relative_error,
 )
 from spod.core import SnapshotSet, SpatialGrid, make_uniform_time_grid, relative_l2_error
 from spod.shift_fem import apply_gram, gram_F
+
+from oracles import x_weighted_relative_error
 
 
 def make_set(values, length=1.0, tfinal=1.0):
@@ -135,16 +134,6 @@ class TestLeadingSvd:
         got = _leading_svd(B, 2)
         assert svd_shapes == [B.shape]
         self.assert_matches_full_svd(B, 2, got)
-
-    def test_weighted_cold_start_matches_weighted_svd(self, rng):
-        z = make_set(rng.standard_normal((12, 10)))
-        w = z.tgrid.weights
-        U, s, modes, discarded, V = _weighted_leading_svd(z.values, z.grid, w, 3)
-        U0, s0, modes0 = _weighted_svd(z.values, z.grid, w, 3)
-        assert np.array_equal(U, U0) and np.array_equal(s, s0[:3])
-        assert np.array_equal(modes, modes0)
-        assert discarded == 0.5 * float(np.dot(s0[3:], s0[3:]))
-        assert V.shape == (10, 9)
 
 
 class TestPod:

@@ -225,6 +225,23 @@ class TestDecompose:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "extra",
+        [["--mode", "path-only", "--penalty-lambda", "5"], ["--mode", "full", "--r", "3"]],
+        ids=["path-only-penalty", "full-r"],
+    )
+    def test_option_the_mode_ignores_is_usage_error(
+        self, tmp_path, exact_fixture_file, capsys, extra
+    ):
+        src, speed = exact_fixture_file
+        out = tmp_path / "x.decomp"
+        capsys.readouterr()
+        argv = ["decompose", str(src), "--frames", f"r=1,path=linear:{speed}", *extra]
+        assert main(argv + ["-o", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert not out.exists()
+
     def test_missing_input_is_io_error(self, tmp_path):
         code = main(
             [

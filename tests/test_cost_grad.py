@@ -27,11 +27,12 @@ from spod.shift_fem import (
     _band_G,
     apply_gram,
     decompose_shift,
-    eval_p1,
     gram_F,
     roll_rows,
     shift_field,
 )
+
+from oracles import eval_p1
 
 GRID = SpatialGrid(16, 1.0)
 TG = make_uniform_time_grid(8, 1.0)

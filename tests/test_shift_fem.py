@@ -7,18 +7,17 @@ from spod.shift_fem import (
     BAND_OFFSETS,
     apply_gram,
     decompose_shift,
-    eval_p1,
     gram_F,
     gram_G,
-    gram_to_dense,
     periodic_neighbours,
-    quadrature_inner_oracle,
     roll_rows,
     shift_field,
     shift_rows,
     stiffness_gram,
     zero_shift_grams,
 )
+
+from oracles import eval_p1, gram_to_dense, quadrature_inner_oracle
 
 GRID = SpatialGrid(10, 1.0)
 
