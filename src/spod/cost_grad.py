@@ -229,86 +229,72 @@ def _data_energy(z: SnapshotSet) -> np.ndarray:
 class _Workspace:
     """Shared per-evaluation state for cost and gradient assembly.
 
-    Built once per evaluation: each frame's path samples, whole-cell offsets
-    and F bands (G bands too with ``want_grad``), its rolled modes and the
-    data rows rotated into its alignment, and for every ordered pair of
-    frames ``(a, b)`` the offsets, fractional parts and F band of the
-    relative shift ``p_a - p_b``.  The zero-shift Grams come from the
-    per-grid cache of ``shift_fem``, the data energy from the per-snapshot-set
-    cache above.
+    Built once per evaluation, for both Gram families: each frame's
+    whole-cell offsets and fractional parts, its rolled modes and the data
+    rows rotated into its alignment, and for every ordered pair of frames
+    ``(a, b)`` the offset and fractional part of the relative shift
+    ``p_a - p_b`` with frame ``b``'s ``coeffs @ modes`` rows rotated by that
+    offset.  The bands of a family (``_band_F`` for the value, ``_band_G``
+    for the path gradient) and its products are built only when asked for.
+    The zero-shift Grams come from the per-grid cache of ``shift_fem``, the
+    data energy from the per-snapshot-set cache above.
     """
 
-    def __init__(self, z: SnapshotSet, d: Decomposition, want_grad: bool):
+    def __init__(self, z: SnapshotSet, d: Decomposition):
         _check_same_grids(z, d)
         self.z = z
         self.d = d
-        self.want_grad = want_grad
         grid = d.grid
         self.h = grid.h
         self.times = d.tgrid.times
         self.w = d.tgrid.weights
         self.Z = z.values
         self.F0, self.G0 = zero_shift_grams(grid)
-        self.pvals = [path_values(f.path, self.times) for f in d.frames]
-        decomposed = [decompose_shift(pv, grid) for pv in self.pvals]
-        self.qs = [q for q, _ in decomposed]
-        self.Fbands = [_band_F(fr, self.h) for _, fr in decomposed]
-        self.Gbands = [_band_G(fr, self.h) for _, fr in decomposed] if want_grad else None
+        pvals = [path_values(f.path, self.times) for f in d.frames]
+        self.qs, self.fracs = zip(*(decompose_shift(pv, grid) for pv in pvals))
         self.rolls = [_mode_rolls(f.modes) for f in d.frames]
         self.U = [f.coeffs @ f.modes for f in d.frames]
         # data rows aligned with each frame's whole-cell offset
         self.Zrot = [roll_rows(self.Z, -q) for q in self.qs]
         self.cross = {}
-        for a, pa in enumerate(self.pvals):
-            for b, pb in enumerate(self.pvals):
+        for a, pa in enumerate(pvals):
+            for b, pb in enumerate(pvals):
                 if a != b:
                     q, fr = decompose_shift(pa - pb, grid)
-                    self.cross[a, b] = (q, fr, _band_F(fr, self.h))
+                    self.cross[a, b] = (q, fr, roll_rows(self.U[b], -q))
+        self._bands = {}
 
-    def frame_products(self):
-        """Per frame: data products FZ (and GZ), reconstruction products R (and RN)."""
-        d = self.d
-        want_grad = self.want_grad
-        nf = len(d.frames)
-        FZ, GZ, R, RN = [], [], [], []
-        for fi, f in enumerate(d.frames):
-            r = f.r
-            nt = self.times.size
-            fz = np.empty((nt, r))
-            gz = np.empty((nt, r)) if want_grad else None
+    def bands(self, band):
+        """The family's bands per frame and per ordered frame pair, built once."""
+        if band not in self._bands:
+            self._bands[band] = (
+                [band(fr, self.h) for fr in self.fracs],
+                {ab: band(fr, self.h) for ab, (_, fr, _) in self.cross.items()},
+            )
+        return self._bands[band]
+
+    def products(self, band):
+        """Per frame, for ``band = _band_F`` (``_band_G``): the data products
+        FZ (GZ) and the reconstruction products R (RN)."""
+        gram0 = self.F0 if band is _band_F else self.G0
+        frame_bands, cross_bands = self.bands(band)
+        DZ, R = [], []
+        for fi, f in enumerate(self.d.frames):
+            dz = np.empty((self.times.size, f.r))
             # same-frame Gram blocks are shift-independent
-            K = f.modes @ apply_gram(self.F0, f.modes).T
-            rmat = f.coeffs @ K
-            if want_grad:
-                KG = f.modes @ apply_gram(self.G0, f.modes).T
-                rnmat = f.coeffs @ KG
-            else:
-                rnmat = None
-            cross_rot = {}
-            for fj in range(nf):
-                if fj == fi:
-                    continue
-                qd, frd, fbd = self.cross[fi, fj]
-                cross_rot[fj] = (
-                    roll_rows(self.U[fj], -qd),
-                    fbd,
-                    _band_G(frd, self.h) if want_grad else None,
-                )
-            # rows F(p_k) phi_i in the co-moving alignment: (m+1, 4) @ (4, n)
-            for i in range(r):
+            rmat = f.coeffs @ (f.modes @ apply_gram(gram0, f.modes).T)
+            partners = [
+                (Urot, cross_bands[a, b]) for (a, b), (_, _, Urot) in self.cross.items() if a == fi
+            ]
+            # rows B(p_k) phi_i in the co-moving alignment: (m+1, 4) @ (4, n)
+            for i in range(f.r):
                 rolls = self.rolls[fi][i]
-                fz[:, i] = np.einsum("kl,kl->k", self.Zrot[fi], self.Fbands[fi] @ rolls)
-                if want_grad:
-                    gz[:, i] = np.einsum("kl,kl->k", self.Zrot[fi], self.Gbands[fi] @ rolls)
-                for fj, (Urot, fbd, gbd) in cross_rot.items():
-                    rmat[:, i] += np.einsum("kl,kl->k", Urot, fbd @ rolls)
-                    if want_grad:
-                        rnmat[:, i] += np.einsum("kl,kl->k", Urot, gbd @ rolls)
-            FZ.append(fz)
-            GZ.append(gz)
+                dz[:, i] = np.einsum("kl,kl->k", self.Zrot[fi], frame_bands[fi] @ rolls)
+                for Urot, bd in partners:
+                    rmat[:, i] += np.einsum("kl,kl->k", Urot, bd @ rolls)
+            DZ.append(dz)
             R.append(rmat)
-            RN.append(rnmat)
-        return FZ, GZ, R, RN
+        return DZ, R
 
     def cost_from_products(self, FZ, R) -> float:
         # the cost is a small difference of large sums near a good fit, so
@@ -319,17 +305,25 @@ class _Workspace:
             addends.append(self.w * np.einsum("ki,ki->k", f.coeffs, rmat - 2.0 * fz))
         return 0.5 * math.fsum(np.concatenate(addends).tolist())
 
+    def path_gradients(self) -> list[np.ndarray]:
+        """Nodal path gradient of each frame, from the G-family products alone."""
+        GZ, RN = self.products(_band_G)
+        return [
+            self.w * (f.coeffs * (rn - gz)).sum(axis=1)
+            for f, gz, rn in zip(self.d.frames, GZ, RN)
+        ]
+
     def mode_gradient(self, fi: int) -> np.ndarray:
         """Gradient rows for frame ``fi``'s modes."""
         d = self.d
         f = d.frames[fi]
+        frame_bands, cross_bands = self.bands(_band_F)
         row = apply_gram(self.F0, self.U[fi])
         for fj in range(len(d.frames)):
             if fj == fi:
                 continue
-            qd, _, fbd = self.cross[fj, fi]
-            row = row + _apply_bands_rows(fbd, qd, self.U[fj])
-        row = row - _apply_bands_rows(self.Fbands[fi], self.qs[fi], self.Z, transpose=True)
+            row = row + _apply_bands_rows(cross_bands[fj, fi], self.cross[fj, fi][0], self.U[fj])
+        row = row - _apply_bands_rows(frame_bands[fi], self.qs[fi], self.Z, transpose=True)
         return (self.w[:, None] * f.coeffs).T @ row
 
 
@@ -349,12 +343,11 @@ def reconstruct(d: Decomposition) -> SnapshotSet:
 def eval_cost(z: SnapshotSet, d: Decomposition) -> float:
     """Quadrature-weighted squared-residual cost, assembled via Gram matrices.
 
-    Bitwise equal to ``eval_cost_gradient(z, d).value``: the same products,
-    summed in the same order, without the gradient's G bands and products.
+    Bitwise equal to ``eval_cost_gradient(z, d).value``: the same F-family
+    products, summed in the same order; no G band or product is built.
     """
-    ws = _Workspace(z, d, want_grad=False)
-    FZ, _, R, _ = ws.frame_products()
-    return ws.cost_from_products(FZ, R)
+    ws = _Workspace(z, d)
+    return ws.cost_from_products(*ws.products(_band_F))
 
 
 def eval_cost_gradient(z: SnapshotSet, d: Decomposition) -> CostGradient:
@@ -363,14 +356,14 @@ def eval_cost_gradient(z: SnapshotSet, d: Decomposition) -> CostGradient:
     Polynomial path gradients are the nodal gradients pulled back through
     the monomial basis (:func:`path_pullback`).
     """
-    ws = _Workspace(z, d, want_grad=True)
-    FZ, GZ, R, RN = ws.frame_products()
+    ws = _Workspace(z, d)
+    FZ, R = ws.products(_band_F)
     value = ws.cost_from_products(FZ, R)
+    path_grads = ws.path_gradients()
     g_coeffs, g_paths, g_modes = [], [], []
     for fi, f in enumerate(d.frames):
         g_coeffs.append(ws.w[:, None] * (R[fi] - FZ[fi]))
-        xi = f.coeffs * (RN[fi] - GZ[fi])
-        g_paths.append(path_pullback(f.path, ws.times, ws.w * xi.sum(axis=1)))
+        g_paths.append(path_pullback(f.path, ws.times, path_grads[fi]))
         g_modes.append(ws.mode_gradient(fi))
     return CostGradient(value, tuple(g_coeffs), tuple(g_paths), tuple(g_modes))
 
@@ -379,15 +372,11 @@ def path_gradient_nodal(z: SnapshotSet, d: Decomposition) -> list[np.ndarray]:
     """Nodal path gradients only (coefficient and mode blocks skipped).
 
     This is the partial gradient used by the reduced path-only optimization,
-    where coefficients and modes sit at an inner minimizer.
+    where coefficients and modes sit at an inner minimizer.  It reads the G
+    family alone: no F band or product is built.  Pulled back through
+    :func:`path_pullback`, it is bitwise ``eval_cost_gradient(z, d).g_paths``.
     """
-    ws = _Workspace(z, d, want_grad=True)
-    _, GZ, _, RN = ws.frame_products()
-    out = []
-    for fi, f in enumerate(d.frames):
-        xi = f.coeffs * (RN[fi] - GZ[fi])
-        out.append(ws.w * xi.sum(axis=1))
-    return out
+    return _Workspace(z, d).path_gradients()
 
 
 def data_norm_sq(z: SnapshotSet) -> float:

@@ -388,13 +388,17 @@ def optimize_path_only(
     the final path; ``isometry_defect`` is the gap between the last reduced
     value and :func:`~spod.cost_grad.eval_cost` of that decomposition, a
     rounding-level consistency check.  The admissible-set penalty is not
-    supported: ``cfg.lam`` must be 0.
+    supported: ``cfg.lam`` must be 0.  The fit always solves for the path
+    with the coefficients and modes at their inner optimum, so
+    ``cfg.variables`` must name all of :data:`VARIABLE_GROUPS`.
     """
     nt, n = z.values.shape
     if not 1 <= r <= min(nt, n):
         raise ValueError(f"rank {r} out of range for {nt} x {n} data")
     if cfg.lam > 0.0:
         raise ValueError("the path-only fit takes no admissible-set penalty (lam must be 0)")
+    if set(cfg.variables) != set(VARIABLE_GROUPS):
+        raise ValueError(f"the path-only fit takes no variable subset, got {cfg.variables=}")
     times = z.tgrid.times
     sqw = np.sqrt(z.tgrid.weights)
     if path0.kind == "nodal" and path0.values.size != nt:

@@ -13,6 +13,8 @@ from spod.cost_grad import (
     eval_cost,
     eval_cost_gradient,
     eval_penalized_cost,
+    path_gradient_nodal,
+    path_pullback,
     penalty_gradient,
     penalty_value,
     _apply_bands_rows,
@@ -220,15 +222,46 @@ class TestGradient:
     )
     def test_value_only_calls_equal_gradient_values_bitwise(self, rng, kinds):
         # line-search trials read eval_cost / penalty_value and accepted
-        # points eval_cost_gradient / penalty_gradient: a fit's trajectory
-        # does not depend on which one produced a value only if they agree
+        # points eval_cost_gradient / penalty_gradient, and the path-only fit
+        # takes its gradient from path_gradient_nodal: a fit's trajectory
+        # does not depend on which one produced a number only if they agree
         for _ in range(10):
             n, m = int(rng.integers(12, 33)), int(rng.integers(4, 21))
             shapes = [int(rng.integers(1, 4)) for _ in kinds]
             z, d = random_instance(rng, n, m, shapes, kinds)
-            assert eval_cost(z, d) == eval_cost_gradient(z, d).value
+            full = eval_cost_gradient(z, d)
+            assert eval_cost(z, d) == full.value
+            for f, nodal, g in zip(d.frames, path_gradient_nodal(z, d), full.g_paths):
+                assert np.array_equal(path_pullback(f.path, d.tgrid.times, nodal), g)
             C = float(rng.uniform(0.5, 20.0))
             assert penalty_value(d, C) == penalty_gradient(d, C).value
+
+    @pytest.mark.parametrize("nframes", [1, 2])
+    def test_each_gram_family_is_built_on_demand(self, rng, monkeypatch, nframes):
+        # the value needs only F bands, the path gradient only G bands
+        import spod.cost_grad as cost_grad
+
+        calls = {"F": 0, "G": 0}
+
+        def spy(name, band):
+            def counted(frac, h):
+                calls[name] += 1
+                return band(frac, h)
+
+            return counted
+
+        monkeypatch.setattr(cost_grad, "_band_F", spy("F", _band_F))
+        monkeypatch.setattr(cost_grad, "_band_G", spy("G", _band_G))
+        z, d = random_instance(rng, 20, 10, [2] * nframes, ["nodal"] * nframes)
+        eval_cost(z, d)
+        assert calls["F"] > 0 and calls["G"] == 0
+        calls.update(F=0, G=0)
+        path_gradient_nodal(z, d)
+        assert calls["F"] == 0 and calls["G"] > 0
+        calls.update(F=0, G=0)
+        eval_cost_gradient(z, d)
+        # one band per frame and per ordered frame pair, for each family
+        assert calls["F"] == calls["G"] == nframes**2
 
     def test_polynomial_equals_vandermonde_pushforward(self, rng):
         coeffs_poly = np.array([0.07, -0.2, 0.11])

@@ -473,6 +473,14 @@ class TestOptimizePathOnly:
         with pytest.raises(ValueError, match="penalty"):
             optimize_path_only(z, PathRepr.nodal(np.zeros(9)), 1, OptimizerConfig(lam=1.0))
 
+    @pytest.mark.parametrize("variables", [("coeffs",), ("paths",), ("coeffs", "modes")])
+    def test_variable_subset_is_rejected(self, variables):
+        # the inner POD solve always moves coefficients and modes with the path
+        z, _ = spike_fixture(n=16, m=8)
+        cfg = OptimizerConfig(variables=variables)
+        with pytest.raises(ValueError, match="variables"):
+            optimize_path_only(z, PathRepr.nodal(np.zeros(9)), 1, cfg)
+
 
 class TestConfigValidation:
     def test_bad_values(self):
