@@ -8,8 +8,10 @@ matrix is circulant, so its square root comes from its Fourier symbol.
 The path-only fit solves the same problem at each path for the data pulled
 back by the transposed shift Grams, weighted on the right by the inverse mass
 root instead.  It needs only the leading singular triplets, which
-``_leading_svd`` finds by a block subspace iteration warm-started from the
-previous path.
+``_leading_svd`` finds by a block subspace iteration started from evenly
+spaced data rows and warm-started from the previous path after that.  Every
+SVD goes through :func:`truncated_svd`; a full one runs only where ``pod``
+needs the whole spectrum or the iteration falls back.
 """
 
 from __future__ import annotations
@@ -88,22 +90,6 @@ def _apply_symbol(rows: np.ndarray, symbol: np.ndarray) -> np.ndarray:
     return np.fft.irfft(np.fft.rfft(rows, axis=1) * symbol[: n // 2 + 1], n=n, axis=1)
 
 
-def _weighted_svd(
-    values: np.ndarray, grid: SpatialGrid, weights: np.ndarray, r: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """SVD of the doubly weighted matrix ``B = W^{1/2} Z R`` (``R`` the
-    symmetric square root of the mass matrix), whose plain SVD is the
-    weighted POD.
-
-    Returns the leading ``r`` left singular vectors, all singular values, and
-    the ``r`` X-orthonormal mode rows ``R^{-1} v_i``.
-    """
-    sq = np.sqrt(_mass_symbol(grid))
-    B = np.sqrt(weights)[:, None] * _apply_symbol(values, sq)
-    U, s, Vt = np.linalg.svd(B, full_matrices=False)
-    return U[:, :r], s, _apply_symbol(Vt[:r], 1.0 / sq)
-
-
 def _leading_svd(
     B: np.ndarray, r: int, V: Optional[np.ndarray] = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
@@ -111,41 +97,43 @@ def _leading_svd(
     ``sum_{i>r} s_i^2 / 2``, by block subspace iteration.
 
     ``V`` (``n x k`` with ``k = min(3 r, nt, n)``) warm-starts the block;
-    ``None`` runs the full SVD.  Each sweep orthonormalizes ``Q = qr(B V)``
-    and takes the Rayleigh-Ritz triplets from the small SVD of
-    ``(B^T Q)^T`` (Golub & Van Loan, Matrix Computations, section 8.2).  The
-    block has settled once ``sum_{i<=r} s_i^2`` moves by at most
-    ``SUBSPACE_RTOL`` relatively between two sweeps and the energy left
-    outside the block, ``E = ||B||_F^2 - sum_{i<=k} s_i^2``, is below
-    ``s_r^2``.  Every singular value of ``B`` missing from an invariant block
-    has ``s^2 <= E``, so the second test rules out a missed direction above
-    ``s_r``; a block that settles on the wrong invariant subspace (say,
-    trailing vectors) fails it.  Otherwise, after ``SUBSPACE_MAX_SWEEPS``
-    sweeps, the full SVD is taken, and then the discarded energy is summed
-    from its tail ``s[r:]``.
+    ``None`` starts it from ``k`` rows of ``B`` evenly spaced in time.  Each
+    sweep orthonormalizes ``Q = qr(B V)`` and takes the Rayleigh-Ritz
+    triplets from the small SVD of ``(B^T Q)^T`` (Golub & Van Loan, Matrix
+    Computations, section 8.2).  The block has settled once
+    ``sum_{i<=r} s_i^2`` moves by at most ``SUBSPACE_RTOL`` relatively
+    between two sweeps and the energy left outside the block,
+    ``E = ||B||_F^2 - sum_{i<=k} s_i^2``, is below ``s_r^2``.  Every singular
+    value of ``B`` missing from an invariant block has ``s^2 <= E``, so the
+    second test rules out a missed direction above ``s_r``; a block that
+    settles on the wrong invariant subspace (say, trailing vectors) fails
+    it.  Otherwise, after ``SUBSPACE_MAX_SWEEPS`` sweeps, the full SVD is
+    taken, and then the discarded energy is summed from its tail ``s[r:]``.
+    Every SVD goes through :func:`truncated_svd`.
 
     Returns ``(U_r, s_r, V, discarded)``; the ``k`` columns of ``V`` (the
     leading ``r`` first) warm-start the next call.
     """
     nt, n = B.shape
     k = min(SUBSPACE_FACTOR * r, nt, n)
-    if V is not None:
-        # per-row sums: a whole-matrix dot product is split across BLAS threads
-        total = math.fsum(np.einsum("kl,kl->k", B, B))
-        head = None
-        for _ in range(SUBSPACE_MAX_SWEEPS):
-            Q = np.linalg.qr(B @ V)[0]
-            # (B^T Q)^T = X diag(s) V^T: LAPACK factors the tall n x k side faster
-            V, s, Xt = np.linalg.svd(B.T @ Q, full_matrices=False)
-            prev, head = head, math.fsum(s[:r] ** 2)
-            if (
-                prev is not None
-                and abs(head - prev) <= SUBSPACE_RTOL * head
-                and (k == min(nt, n) or total - math.fsum(s**2) < s[r - 1] ** 2)
-            ):
-                return Q @ Xt[:r].T, s[:r], V, 0.5 * (total - head)
-    U, s, Vt = np.linalg.svd(B, full_matrices=False)
-    return U[:, :r], s[:r], Vt[:k].T, 0.5 * float(np.dot(s[r:], s[r:]))
+    if V is None:
+        V = B[np.linspace(0, nt - 1, k).round().astype(int)].T
+    # per-row sums: a whole-matrix dot product is split across BLAS threads
+    total = math.fsum(np.einsum("kl,kl->k", B, B))
+    head = None
+    for _ in range(SUBSPACE_MAX_SWEEPS):
+        Q = np.linalg.qr(B @ V)[0]
+        # (B^T Q)^T = X diag(s) V^T: LAPACK factors the tall n x k side faster
+        V, s, X = truncated_svd(B.T @ Q, k)
+        prev, head = head, math.fsum(s[:r] ** 2)
+        if (
+            prev is not None
+            and abs(head - prev) <= SUBSPACE_RTOL * head
+            and (k == min(nt, n) or total - math.fsum(s**2) < s[r - 1] ** 2)
+        ):
+            return Q @ X[:, :r], s[:r], V, 0.5 * (total - head)
+    U, s, V = truncated_svd(B, min(nt, n))
+    return U[:, :r], s[:r], V[:, :k], 0.5 * float(np.dot(s[r:], s[r:]))
 
 
 def pod(z: SnapshotSet, r: int) -> PodResult:
@@ -157,7 +145,12 @@ def pod(z: SnapshotSet, r: int) -> PodResult:
     nt, n = z.values.shape
     if not 1 <= r <= min(nt, n):
         raise ValueError(f"rank {r} out of range for {nt} x {n} data")
-    _, s, modes = _weighted_svd(z.values, z.grid, z.tgrid.weights, r)
+    # B = W^{1/2} Z R, R the symmetric square root of the mass matrix: its
+    # plain SVD is the weighted POD, and the mode rows are R^{-1} v_i
+    sq = np.sqrt(_mass_symbol(z.grid))
+    B = np.sqrt(z.tgrid.weights)[:, None] * _apply_symbol(z.values, sq)
+    _, s, V = truncated_svd(B, min(nt, n))
+    modes = _apply_symbol(V[:, :r].T, 1.0 / sq)
     coeffs = z.values @ apply_gram(zero_shift_grams(z.grid)[0], modes).T
     return PodResult(modes, coeffs, s)
 

@@ -207,12 +207,14 @@ def _cmd_decompose(args) -> int:
 
     t0 = time.perf_counter()
     z = _load(load_snapshots, args.input)
+    if args.penalty_c is not None and not args.penalty_lambda > 0:
+        raise CliError("--penalty-c takes effect only with a positive --penalty-lambda", USAGE_EXIT)
     cfg = OptimizerConfig(
         max_iters=args.iters,
         grad_tol=args.grad_tol,
         lbfgs_memory=args.memory,
         lam=args.penalty_lambda,
-        C=args.penalty_c,
+        C=OptimizerConfig.C if args.penalty_c is None else args.penalty_c,
     )
     progress = _make_progress(args)
     if args.mode == "path-only":
@@ -440,7 +442,7 @@ def _build_parser() -> argparse.ArgumentParser:
     dec.add_argument("--grad-tol", type=float, default=1e-8)
     dec.add_argument("--memory", type=int, default=10)
     dec.add_argument("--penalty-lambda", type=float, default=0.0)
-    dec.add_argument("--penalty-c", type=float, default=1.0)
+    dec.add_argument("--penalty-c", type=float, default=None)
     dec.add_argument("--require-converged", action="store_true")
     dec.add_argument("--progress", action="store_true")
     dec.add_argument("-o", "--output", required=True)

@@ -10,12 +10,13 @@ Two drivers share one L-BFGS core:
   For a fixed path the cost is a weighted POD problem: its minimum is the
   truncation of ``B = W^{1/2} Y M^{-1/2}``, the rows of ``Y`` being the data
   pulled back by the transposed shift Grams, ``y_k = F(p_k)^T z_k``, and
-  ``M = F(0)`` the mass matrix.  The first evaluation takes the leading
-  singular triplets from a full SVD; every later one runs a block subspace
-  iteration warm-started from the previous evaluation's right singular
-  vectors, falling back to the full SVD when the block has not settled.  By
-  the envelope theorem the partial path gradient of the cost at the inner
-  minimizer is the gradient of the reduced objective.
+  ``M = F(0)`` the mass matrix.  The leading singular triplets come from a
+  block subspace iteration, started from evenly spaced rows of ``B`` at the
+  first evaluation and warm-started from the previous evaluation's right
+  singular vectors at every later one; it falls back to the full SVD only
+  when the block has not settled.  By the envelope theorem the partial path
+  gradient of the cost at the inner minimizer is the gradient of the
+  reduced objective.
 
 An objective maps a point to ``(f, gradient)``: the value, and a
 zero-argument callable that returns the gradient there.  The Armijo line
@@ -46,11 +47,11 @@ from .cost_grad import (
     _data_energy,
     eval_cost,
     eval_cost_gradient,
+    eval_penalized_cost,
     path_gradient_nodal,
     path_pullback,
     path_values,
     penalty_gradient,
-    penalty_value,
 )
 from .shift_fem import _band_F, decompose_shift
 
@@ -335,12 +336,11 @@ def optimize_decomposition(
     """Minimize the (penalized) cost over the selected variable blocks,
     starting from the supplied decomposition.
 
-    Each objective evaluation is one :func:`~spod.cost_grad.eval_cost`
-    call; its deferred gradient is one
-    :func:`~spod.cost_grad.eval_cost_gradient` call.  With ``cfg.lam > 0``
-    they add one :func:`~spod.cost_grad.penalty_value` and one
-    :func:`~spod.cost_grad.penalty_gradient` call (the closed-form
-    subgradient) respectively.  The values agree bitwise with those of the
+    Each objective evaluation is one
+    :func:`~spod.cost_grad.eval_penalized_cost` call; its deferred gradient
+    is one :func:`~spod.cost_grad.eval_cost_gradient` call plus, with
+    ``cfg.lam > 0``, one :func:`~spod.cost_grad.penalty_gradient` call (the
+    closed-form subgradient).  The values agree bitwise with those of the
     gradient calls, so the line search sees the same costs either way.
     """
     variables = cfg.variables
@@ -348,9 +348,7 @@ def optimize_decomposition(
 
     def objective(x: np.ndarray):
         d = unpack(x, d0, variables)
-        value = eval_cost(z, d)
-        if cfg.lam > 0.0:
-            value += cfg.lam * penalty_value(d, cfg.C)
+        value = eval_penalized_cost(z, d, cfg.C, cfg.lam)
 
         def gradient() -> np.ndarray:
             gx = pack_gradient(eval_cost_gradient(z, d), d, variables)
@@ -379,17 +377,18 @@ def optimize_path_only(
 
         J*(p) = 1/2 (sum_k w_k z_k^T M z_k - ||B||_F^2) + 1/2 sum_{i>r} s_i(B)^2.
 
-    The first evaluation runs the full SVD; later ones run a block subspace
-    iteration on ``min(3 r, nt, n)`` columns, warm-started from the previous
-    evaluation's right singular vectors, which falls back to the full SVD
-    when it has not settled (see :func:`spod.baseline_pod._leading_svd`).
-    The gradient is :func:`~spod.cost_grad.path_gradient_nodal` at the inner
-    solution.  The returned decomposition is rebuilt from the full SVD at
-    the final path; ``isometry_defect`` is the gap between the last reduced
-    value and :func:`~spod.cost_grad.eval_cost` of that decomposition, a
-    rounding-level consistency check.  The admissible-set penalty is not
-    supported: ``cfg.lam`` must be 0.  The fit always solves for the path
-    with the coefficients and modes at their inner optimum, so
+    Every evaluation runs a block subspace iteration on ``min(3 r, nt, n)``
+    columns: the first starts from evenly spaced rows of ``B``, later ones
+    from the previous evaluation's right singular vectors, and it falls
+    back to the full SVD only when it has not settled (see
+    :func:`spod.baseline_pod._leading_svd`).  The gradient is
+    :func:`~spod.cost_grad.path_gradient_nodal` at the inner solution.  The
+    returned decomposition is rebuilt at the final path, warm-started like
+    any other evaluation; ``isometry_defect`` is the gap between the last
+    reduced value and :func:`~spod.cost_grad.eval_cost` of that
+    decomposition, a rounding-level consistency check.  The admissible-set
+    penalty is not supported: ``cfg.lam`` must be 0.  The fit always solves
+    for the path with the coefficients and modes at their inner optimum, so
     ``cfg.variables`` must name all of :data:`VARIABLE_GROUPS`.
     """
     nt, n = z.values.shape
@@ -432,8 +431,6 @@ def optimize_path_only(
         return cost, lambda: path_pullback(d.frames[0].path, times, path_gradient_nodal(z, d)[0])
 
     xs, result = lbfgs_minimize(objective, np.array(path0.values, dtype=float), cfg, callback)
-    # a cold start: the full SVD, with its LAPACK signs, at the final path
-    warm = None
     final_cost, d_final = inner(xs)
     defect = abs(final_cost - eval_cost(z, d_final))
     return replace(result, decomposition=d_final, isometry_defect=defect)

@@ -208,7 +208,8 @@ def shift_rows(A: np.ndarray, p: np.ndarray, grid: SpatialGrid) -> np.ndarray:
 
 def shift_field(p: float, v: np.ndarray, grid: SpatialGrid) -> np.ndarray:
     """Nodal values of ``T(p) v`` for one shift; ``v`` is one field or a 2-D
-    array of fields, one per row."""
+    array of fields, one per row.  No program path calls it: it stays while
+    ``benchmarks/tracing.py`` traces it, whose checks need its metrics."""
     v = np.asarray(v, dtype=float)
     if v.shape[-1] != grid.n:
         raise ValueError(f"vector length {v.shape[-1]} does not match n={grid.n}")

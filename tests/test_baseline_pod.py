@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from spod import baseline_pod
 from spod.baseline_pod import (
     SUBSPACE_FACTOR,
     _apply_symbol,
@@ -68,6 +69,18 @@ def spectrum_matrix(rng, nt, n, s):
     return (U * s) @ V.T
 
 
+def spy_truncated_svd(monkeypatch):
+    """``(shape, r)`` of every :func:`truncated_svd` call the module makes."""
+    calls = []
+
+    def spy(A, r):
+        calls.append((np.shape(A), r))
+        return truncated_svd(A, r)
+
+    monkeypatch.setattr(baseline_pod, "truncated_svd", spy)
+    return calls
+
+
 class TestLeadingSvd:
     def assert_matches_full_svd(self, B, r, got):
         U, s, V, discarded = got
@@ -110,13 +123,16 @@ class TestLeadingSvd:
         self.assert_matches_full_svd(B, 4, got)
 
     @pytest.mark.parametrize("seed", [7, 8, 9])
-    def test_flat_spectrum_falls_back(self, seed, svd_shapes):
+    def test_flat_spectrum_falls_back(self, seed, svd_shapes, monkeypatch):
         # s_4 = s_13: the block of 12 columns cannot separate the leading four
         rng = np.random.default_rng(seed)
         B = spectrum_matrix(rng, 60, 50, np.r_[1.3, 1.2, 1.1, np.ones(47)])
         V0 = rng.standard_normal((50, 12))
+        calls = spy_truncated_svd(monkeypatch)
         got = _leading_svd(B, 4, V0)
         assert svd_shapes.count(B.shape) == 1
+        # the fall-back is criterion 8's kernel at full rank
+        assert calls[-1] == (B.shape, min(B.shape))
         self.assert_matches_full_svd(B, 4, got)
 
     @pytest.mark.parametrize("seed", [10, 11, 12])
@@ -128,11 +144,12 @@ class TestLeadingSvd:
         self.assert_matches_full_svd(B, 4, _leading_svd(B, 4, V0))
 
     @pytest.mark.parametrize("seed", [13, 14])
-    def test_cold_start_is_the_full_svd(self, seed, svd_shapes):
+    def test_cold_start_settles_without_the_full_svd(self, seed, svd_shapes):
+        # the block starts from evenly spaced rows of B, not from a full SVD
         rng = np.random.default_rng(seed)
         B = spectrum_matrix(rng, 30, 20, 0.7 ** np.arange(20))
         got = _leading_svd(B, 2)
-        assert svd_shapes == [B.shape]
+        assert svd_shapes and B.shape not in svd_shapes
         self.assert_matches_full_svd(B, 2, got)
 
 
@@ -149,6 +166,14 @@ class TestPod:
         z = make_set(np.outer(amp, shape))
         pr = pod(z, 1)
         assert relative_l2_error(z, pod_reconstruction(pr, z)) <= 1e-10
+
+    def test_one_truncated_svd_at_full_rank(self, rng, monkeypatch):
+        # criterion 8's kernel is the one pod runs
+        z = make_set(rng.standard_normal((9, 14)))
+        calls = spy_truncated_svd(monkeypatch)
+        pr = pod(z, 3)
+        assert calls == [((9, 14), 9)]
+        assert pr.singular_values.shape == (9,)
 
     def test_modes_are_x_orthonormal(self, rng):
         z = make_set(rng.standard_normal((9, 14)))

@@ -227,8 +227,13 @@ class TestDecompose:
 
     @pytest.mark.parametrize(
         "extra",
-        [["--mode", "path-only", "--penalty-lambda", "5"], ["--mode", "full", "--r", "3"]],
-        ids=["path-only-penalty", "full-r"],
+        [
+            ["--mode", "path-only", "--penalty-lambda", "5"],
+            ["--mode", "full", "--r", "3"],
+            ["--mode", "full", "--penalty-c", "5"],
+            ["--mode", "path-only", "--penalty-c", "5"],
+        ],
+        ids=["path-only-penalty", "full-r", "full-penalty-c", "path-only-penalty-c"],
     )
     def test_option_the_mode_ignores_is_usage_error(
         self, tmp_path, exact_fixture_file, capsys, extra
