@@ -216,6 +216,26 @@ class TestLbfgs:
         assert hist.iterations == 0
         assert evals < 2 * MAX_BACKTRACKS + 2
 
+    def test_allocator_is_set_before_the_first_evaluation(self, monkeypatch, rng):
+        # library fits, not only the CLI, keep freed memory (glibc mallopt)
+        import spod.optimizer
+
+        calls = []
+        keep = spod.optimizer._keep_freed_memory
+        monkeypatch.setattr(
+            spod.optimizer, "_keep_freed_memory", lambda: (calls.append("allocator"), keep())
+        )
+        A, b = well_conditioned_quadratic(rng)
+        quad = quadratic(A, b)
+
+        def objective(x):
+            calls.append("evaluation")
+            return quad(x)
+
+        lbfgs_minimize(objective, np.zeros(10), OptimizerConfig(max_iters=5))
+        assert calls[:2] == ["allocator", "evaluation"]
+        assert calls.count("allocator") == 1
+
 
 class TestOptimizeDecomposition:
     def test_truth_init_converges_immediately(self):
