@@ -14,6 +14,7 @@ coefficients, paths, and modes follow the same assembly.
 
 from __future__ import annotations
 
+import functools
 import math
 import weakref
 from dataclasses import dataclass, field
@@ -196,17 +197,23 @@ def _mode_rolls(modes: np.ndarray) -> np.ndarray:
     return np.stack(periodic_neighbours(modes, BAND_OFFSETS), axis=1)
 
 
+def _band_sum_rows(bands: np.ndarray, A: np.ndarray, sign: int) -> np.ndarray:
+    """``sum_d bands[k, d] A[k, (l - sign delta_d) mod n]`` at ``[k, l]``,
+    summed over the bands in order."""
+    out = np.zeros_like(A)
+    offsets = [-sign * dlt for dlt in BAND_OFFSETS]
+    for b, neighbour in zip(bands.T, periodic_neighbours(A, offsets)):
+        out += b[:, None] * neighbour
+    return out
+
+
 def _apply_bands_rows(
     bands: np.ndarray, qs: np.ndarray, A: np.ndarray, transpose: bool = False
 ) -> np.ndarray:
     """Row-wise products ``F(p_k) A[k]`` for a time-varying band family, or
     with ``transpose`` the exact transposes ``F(p_k)^T A[k]``."""
     sign = 1 if transpose else -1
-    offsets = [-sign * dlt for dlt in BAND_OFFSETS]
-    out = np.zeros_like(A)
-    for b, neighbour in zip(bands.T, periodic_neighbours(A, offsets)):
-        out += b[:, None] * neighbour
-    return roll_rows(out, -sign * qs)
+    return roll_rows(_band_sum_rows(bands, A, sign), -sign * qs)
 
 
 # per-row data energy of each snapshot set; weak keys, so no snapshot set is
@@ -227,17 +234,19 @@ def _data_energy(z: SnapshotSet) -> np.ndarray:
 
 
 class _Workspace:
-    """Shared per-evaluation state for cost and gradient assembly.
+    """The state of one evaluation point, shared by its value and its gradient.
 
-    Built once per evaluation, for both Gram families: each frame's
+    Built once per point ``(z, d)``, for both Gram families: each frame's
     whole-cell offsets and fractional parts, its rolled modes and the data
     rows rotated into its alignment, and for every ordered pair of frames
     ``(a, b)`` the offset and fractional part of the relative shift
     ``p_a - p_b`` with frame ``b``'s ``coeffs @ modes`` rows rotated by that
-    offset.  The bands of a family (``_band_F`` for the value, ``_band_G``
-    for the path gradient) and its products are built only when asked for.
-    The zero-shift Grams come from the per-grid cache of ``shift_fem``, the
-    data energy from the per-snapshot-set cache above.
+    offset.  The bands and products of a family (``_band_F`` for the value,
+    ``_band_G`` for the path gradient) and the value are built when first
+    asked for and kept, so a gradient taken after the value at the same
+    point adds only the G family and the mode rows.  The zero-shift Grams
+    come from the per-grid cache of ``shift_fem``, the data energy from the
+    per-snapshot-set cache above.
     """
 
     def __init__(self, z: SnapshotSet, d: Decomposition):
@@ -253,7 +262,6 @@ class _Workspace:
         pvals = [path_values(f.path, self.times) for f in d.frames]
         self.qs, self.fracs = zip(*(decompose_shift(pv, grid) for pv in pvals))
         self.rolls = [_mode_rolls(f.modes) for f in d.frames]
-        self.U = [f.coeffs @ f.modes for f in d.frames]
         # data rows aligned with each frame's whole-cell offset
         self.Zrot = [roll_rows(self.Z, -q) for q in self.qs]
         self.cross = {}
@@ -263,6 +271,12 @@ class _Workspace:
                     q, fr = decompose_shift(pa - pb, grid)
                     self.cross[a, b] = (q, fr, roll_rows(self.U[b], -q))
         self._bands = {}
+        self._products = {}
+
+    @functools.cached_property
+    def U(self) -> list[np.ndarray]:
+        """Each frame's ``coeffs @ modes`` rows; a single-frame value never reads them."""
+        return [f.coeffs @ f.modes for f in self.d.frames]
 
     def bands(self, band):
         """The family's bands per frame and per ordered frame pair, built once."""
@@ -275,7 +289,12 @@ class _Workspace:
 
     def products(self, band):
         """Per frame, for ``band = _band_F`` (``_band_G``): the data products
-        FZ (GZ) and the reconstruction products R (RN)."""
+        FZ (GZ) and the reconstruction products R (RN), built once."""
+        if band not in self._products:
+            self._products[band] = self._build_products(band)
+        return self._products[band]
+
+    def _build_products(self, band):
         gram0 = self.F0 if band is _band_F else self.G0
         frame_bands, cross_bands = self.bands(band)
         DZ, R = [], []
@@ -296,12 +315,14 @@ class _Workspace:
             R.append(rmat)
         return DZ, R
 
-    def cost_from_products(self, FZ, R) -> float:
+    @functools.cached_property
+    def value(self) -> float:
+        """The cost, from the F-family products."""
         # the cost is a small difference of large sums near a good fit, so
         # accumulate all weighted addends exactly (the data-energy terms and
         # the frame terms cancel addend-by-addend for exact reconstructions)
         addends = [self.w * _data_energy(self.z)]
-        for f, fz, rmat in zip(self.d.frames, FZ, R):
+        for f, fz, rmat in zip(self.d.frames, *self.products(_band_F)):
             addends.append(self.w * np.einsum("ki,ki->k", f.coeffs, rmat - 2.0 * fz))
         return 0.5 * math.fsum(np.concatenate(addends).tolist())
 
@@ -322,9 +343,21 @@ class _Workspace:
         for fj in range(len(d.frames)):
             if fj == fi:
                 continue
-            row = row + _apply_bands_rows(cross_bands[fj, fi], self.cross[fj, fi][0], self.U[fj])
-        row = row - _apply_bands_rows(frame_bands[fi], self.qs[fi], self.Z, transpose=True)
+            row += _apply_bands_rows(cross_bands[fj, fi], self.cross[fj, fi][0], self.U[fj])
+        # F(p_k)^T z_k from the data rows already in the frame's alignment:
+        # the same neighbours, with no roll back
+        row -= _band_sum_rows(frame_bands[fi], self.Zrot[fi], 1)
         return (self.w[:, None] * f.coeffs).T @ row
+
+
+def _point_workspace(z: SnapshotSet, d: Decomposition, workspace) -> _Workspace:
+    """The caller's workspace, if it was built for these very ``z`` and ``d``,
+    or a new one."""
+    if workspace is None:
+        return _Workspace(z, d)
+    if workspace.z is not z or workspace.d is not d:
+        raise ValueError("workspace was built for another snapshot set or decomposition")
+    return workspace
 
 
 def reconstruct(d: Decomposition) -> SnapshotSet:
@@ -340,25 +373,30 @@ def reconstruct(d: Decomposition) -> SnapshotSet:
     return SnapshotSet(d.grid, d.tgrid, out)
 
 
-def eval_cost(z: SnapshotSet, d: Decomposition) -> float:
+def eval_cost(z: SnapshotSet, d: Decomposition, *, workspace=None) -> float:
     """Quadrature-weighted squared-residual cost, assembled via Gram matrices.
 
     Bitwise equal to ``eval_cost_gradient(z, d).value``: the same F-family
     products, summed in the same order; no G band or product is built.
+    ``workspace``, if given, is a ``_Workspace`` built for these very ``z``
+    and ``d`` (``ValueError`` otherwise); it keeps the F products and the
+    value for a gradient taken later at the same point.
     """
-    ws = _Workspace(z, d)
-    return ws.cost_from_products(*ws.products(_band_F))
+    return _point_workspace(z, d, workspace).value
 
 
-def eval_cost_gradient(z: SnapshotSet, d: Decomposition) -> CostGradient:
+def eval_cost_gradient(z: SnapshotSet, d: Decomposition, *, workspace=None) -> CostGradient:
     """Cost together with its gradients w.r.t. coefficients, paths, and modes.
 
     Polynomial path gradients are the nodal gradients pulled back through
-    the monomial basis (:func:`path_pullback`).
+    the monomial basis (:func:`path_pullback`).  Given the ``workspace`` of
+    an earlier :func:`eval_cost` at the same point (see there), the value
+    and the F products come from it, and only the G products and the mode
+    rows are built; the result is bitwise the same.
     """
-    ws = _Workspace(z, d)
+    ws = _point_workspace(z, d, workspace)
     FZ, R = ws.products(_band_F)
-    value = ws.cost_from_products(FZ, R)
+    value = ws.value
     path_grads = ws.path_gradients()
     g_coeffs, g_paths, g_modes = [], [], []
     for fi, f in enumerate(d.frames):
@@ -493,12 +531,13 @@ def penalty_gradient(d: Decomposition, C: float) -> CostGradient:
 
 
 def eval_penalized_cost(
-    z: SnapshotSet, d: Decomposition, C: float = 1.0, lam: float = 0.0
+    z: SnapshotSet, d: Decomposition, C: float = 1.0, lam: float = 0.0, *, workspace=None
 ) -> float:
-    """Cost plus ``lam`` times the admissible-set penalty (``lam = 0`` default)."""
+    """Cost plus ``lam`` times the admissible-set penalty (``lam = 0`` default);
+    ``workspace`` goes to :func:`eval_cost`."""
     if lam < 0:
         raise ValueError(f"penalty coefficient must be nonnegative, got {lam}")
-    value = eval_cost(z, d)
+    value = eval_cost(z, d, workspace=workspace)
     if lam > 0.0:
         value += lam * penalty_value(d, C)
     return value

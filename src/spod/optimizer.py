@@ -45,6 +45,7 @@ from .cost_grad import (
     PathRepr,
     _apply_bands_rows,
     _data_energy,
+    _Workspace,
     eval_cost,
     eval_cost_gradient,
     eval_penalized_cost,
@@ -106,10 +107,12 @@ class OptimizerConfig:
         variables = tuple(self.variables)
         if not variables or any(v not in VARIABLE_GROUPS for v in variables):
             raise ValueError(f"variables must be a nonempty subset of {VARIABLE_GROUPS}")
-        if not self.C > 0:
-            raise ValueError("C must be positive")
-        if self.lam < 0:
-            raise ValueError("lam must be nonnegative")
+        if not (math.isfinite(self.C) and self.C > 0):
+            raise ValueError(f"C must be finite and positive, got {self.C}")
+        if not (math.isfinite(self.grad_tol) and self.grad_tol >= 0):
+            raise ValueError(f"grad_tol must be finite and nonnegative, got {self.grad_tol}")
+        if not (math.isfinite(self.lam) and self.lam >= 0):
+            raise ValueError(f"lam must be finite and nonnegative, got {self.lam}")
         object.__setattr__(self, "variables", variables)
 
 
@@ -239,6 +242,7 @@ def _line_search(objective: Objective, x: np.ndarray, f: float, direction: np.nd
                     step *= 2.0
                     xn, fn, gradient = xe, fe, gradient_e
             return xn, fn, gradient
+        gradient = None  # free the rejected trial before the next one
         step *= BACKTRACK_FACTOR
     return None
 
@@ -276,7 +280,10 @@ def lbfgs_minimize(
     ``objective(x)`` returns ``(f, gradient)`` with ``gradient`` a
     zero-argument callable.  Line-search trials read only ``f``, so
     ``gradient`` is called exactly once at ``x0`` and once at each accepted
-    point: ``iterations + 1`` times in all.
+    point: ``iterations + 1`` times in all.  A trial's ``gradient`` is
+    dropped once it is rejected or taken, so whatever state it holds is
+    freed: when ``objective`` is called, at most one earlier trial (the one
+    an expanding line search has accepted so far) is still alive.
 
     Returns the final point and its trace, an :class:`OptimizerResult` with
     no decomposition.  Terminates when the gradient infinity norm drops to
@@ -300,6 +307,7 @@ def lbfgs_minimize(
     x = np.array(x0, dtype=float)
     f, gradient = evaluate(x)
     g = gradient()
+    gradient = None
     n_gradients = 1
     if not (np.isfinite(f) and np.all(np.isfinite(g))):
         raise ValueError("objective is not finite at the initial point")
@@ -334,6 +342,8 @@ def lbfgs_minimize(
         xn, fn, gradient = hit
         gn = gradient()
         n_gradients += 1
+        # the trial is spent: free its state before the next line search
+        hit = gradient = None
         s = xn - x
         y = gn - g
         sy = float(np.dot(s, y))
@@ -360,22 +370,27 @@ def optimize_decomposition(
     """Minimize the (penalized) cost over the selected variable blocks,
     starting from the supplied decomposition.
 
-    Each objective evaluation is one
-    :func:`~spod.cost_grad.eval_penalized_cost` call; its deferred gradient
-    is one :func:`~spod.cost_grad.eval_cost_gradient` call plus, with
-    ``cfg.lam > 0``, one :func:`~spod.cost_grad.penalty_gradient` call (the
-    closed-form subgradient).  The values agree bitwise with those of the
-    gradient calls, so the line search sees the same costs either way.
+    Each objective evaluation builds one workspace for its point (the Gram
+    assembly shared by value and gradient) and makes one
+    :func:`~spod.cost_grad.eval_penalized_cost` call with it; its deferred
+    gradient is one :func:`~spod.cost_grad.eval_cost_gradient` call on the
+    same workspace, which adds only the G products and the mode rows, plus,
+    with ``cfg.lam > 0``, one :func:`~spod.cost_grad.penalty_gradient` call
+    (the closed-form subgradient).  The workspace lives as long as the
+    trial's gradient closure, so a rejected trial frees it.  The values
+    agree bitwise with those of the gradient calls, so the line search sees
+    the same costs either way.
     """
     variables = cfg.variables
     x0 = pack(d0, variables)
 
     def objective(x: np.ndarray):
         d = unpack(x, d0, variables)
-        value = eval_penalized_cost(z, d, cfg.C, cfg.lam)
+        ws = _Workspace(z, d)
+        value = eval_penalized_cost(z, d, cfg.C, cfg.lam, workspace=ws)
 
         def gradient() -> np.ndarray:
-            gx = pack_gradient(eval_cost_gradient(z, d), d, variables)
+            gx = pack_gradient(eval_cost_gradient(z, d, workspace=ws), d, variables)
             if cfg.lam > 0.0:
                 gx = gx + cfg.lam * pack_gradient(penalty_gradient(d, cfg.C), d, variables)
             return gx

@@ -187,6 +187,10 @@ def test_criterion_4_spod_burgers(burgers_data):
         if r in bounds:
             ok = ok and err <= bounds[r]
             line += f" (bound {bounds[r]:.3e})"
+        line += (
+            f", {res.iterations} iterations, {res.n_evals} evaluations, "
+            f"{res.n_gradients} gradients"
+        )
         details.append(line)
     elapsed = time.perf_counter() - t0
     _report(4, "shifted-mode Burgers errors", ok, "; ".join(details), elapsed, 900)

@@ -232,8 +232,16 @@ class TestDecompose:
             ["--mode", "full", "--r", "3"],
             ["--mode", "full", "--penalty-c", "5"],
             ["--mode", "path-only", "--penalty-c", "5"],
+            ["--mode", "full", "--penalty-lambda", "nan"],
+            ["--mode", "path-only", "--penalty-lambda", "nan"],
+            ["--mode", "full", "--grad-tol", "nan"],
+            ["--mode", "path-only", "--grad-tol", "nan"],
+            ["--mode", "full", "--grad-tol", "-1"],
+            ["--mode", "full", "--penalty-lambda", "1", "--penalty-c", "inf"],
         ],
-        ids=["path-only-penalty", "full-r", "full-penalty-c", "path-only-penalty-c"],
+        ids=["path-only-penalty", "full-r", "full-penalty-c", "path-only-penalty-c",
+             "full-penalty-nan", "path-only-penalty-nan", "full-grad-tol-nan",
+             "path-only-grad-tol-nan", "full-grad-tol-negative", "full-penalty-c-inf"],
     )
     def test_option_the_mode_ignores_is_usage_error(
         self, tmp_path, exact_fixture_file, capsys, extra

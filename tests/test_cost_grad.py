@@ -19,6 +19,7 @@ from spod.cost_grad import (
     penalty_value,
     _apply_bands_rows,
     _mode_rolls,
+    _Workspace,
     reconstruct,
 )
 from spod.generators import TravelingProfile, synthetic_traveling
@@ -262,6 +263,36 @@ class TestGradient:
         eval_cost_gradient(z, d)
         # one band per frame and per ordered frame pair, for each family
         assert calls["F"] == calls["G"] == nframes**2
+
+    def test_gradient_on_the_value_workspace_is_bitwise_fresh(self, rng):
+        # the optimizer takes an accepted point's gradient on the workspace
+        # its value was computed on: no product may differ from a fresh call
+        z, d = random_instance(rng, 20, 10, [2, 1], ["nodal", "polynomial"])
+        ws = _Workspace(z, d)
+        value = eval_cost(z, d, workspace=ws)
+        reused = eval_cost_gradient(z, d, workspace=ws)
+        fresh = eval_cost_gradient(z, d)
+        assert value == reused.value == fresh.value
+        for got, want in zip(
+            reused.g_coeffs + reused.g_paths + reused.g_modes,
+            fresh.g_coeffs + fresh.g_paths + fresh.g_modes,
+        ):
+            assert got.tobytes() == want.tobytes()
+
+    def test_workspace_of_another_point_is_rejected(self, rng):
+        z, d = random_instance(rng, 16, 8, [1, 1], ["nodal", "nodal"])
+        # equal values, another object: a workspace is tied to its own point
+        other = unpack(pack(d), d)
+        ws = _Workspace(z, other)
+        with pytest.raises(ValueError, match="workspace"):
+            eval_cost(z, d, workspace=ws)
+        with pytest.raises(ValueError, match="workspace"):
+            eval_penalized_cost(z, d, workspace=ws)
+        with pytest.raises(ValueError, match="workspace"):
+            eval_cost_gradient(z, d, workspace=ws)
+        z_other = SnapshotSet(z.grid, z.tgrid, z.values.copy())
+        with pytest.raises(ValueError, match="workspace"):
+            eval_cost(z_other, other, workspace=ws)
 
     def test_polynomial_equals_vandermonde_pushforward(self, rng):
         coeffs_poly = np.array([0.07, -0.2, 0.11])

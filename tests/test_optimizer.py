@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -176,6 +178,33 @@ class TestLbfgs:
         # every expansion or backtrack is a trial whose gradient is never taken
         assert evals == hist.n_evals > gradients
 
+    @pytest.mark.parametrize("case", ["quadratic", "rosenbrock"])
+    def test_spent_trials_are_freed(self, rng, case):
+        # each trial's gradient closure holds a token; a rejected trial, and
+        # an accepted one once its gradient is taken, must be dropped, so at
+        # most the trial an expanding line search holds is alive at a call
+        if case == "quadratic":
+            objective, x0 = quadratic(*well_conditioned_quadratic(rng)), np.zeros(10)
+        else:
+            objective, x0 = rosenbrock, np.array([-1.2, 1.0])
+
+        class Token:
+            pass
+
+        live = weakref.WeakSet()
+        alive_at_call = []
+
+        def tokened(x):
+            alive_at_call.append(len(live))
+            token = Token()
+            live.add(token)
+            f, gradient = objective(x)
+            return f, lambda: (token, gradient())[1]
+
+        _, hist = lbfgs_minimize(tokened, x0, OptimizerConfig(max_iters=500, grad_tol=1e-10))
+        assert hist.n_evals > hist.n_gradients
+        assert max(alive_at_call) <= 1
+
     def test_stationary_start_returns_immediately(self):
         def objective(x):
             return float(x @ x), lambda: 2 * x
@@ -300,6 +329,33 @@ class TestOptimizeDecomposition:
         assert np.allclose(res_a.cost_history[:na], res_b.cost_history[:na], rtol=0, atol=1e-12)
         for fa, fb in zip(res_a.decomposition.frames, res_b.decomposition.frames[::-1]):
             assert np.allclose(fa.path.values, fb.path.values, atol=1e-10)
+
+    def test_one_workspace_per_evaluation(self, monkeypatch):
+        # the deferred gradient reuses the workspace its value was built on
+        import spod.cost_grad as cost_grad
+
+        built = 0
+        init = cost_grad._Workspace.__init__
+
+        def counted(self, z, d):
+            nonlocal built
+            built += 1
+            init(self, z, d)
+
+        monkeypatch.setattr(cost_grad._Workspace, "__init__", counted)
+        z, dtrue = spike_fixture()
+        h = dtrue.grid.h
+        d0 = Decomposition(
+            tuple(
+                Frame(PathRepr.nodal(f.path.values + off * h), f.modes, f.coeffs)
+                for f, off in zip(dtrue.frames, (0.3, -0.2))
+            ),
+            dtrue.grid,
+            dtrue.tgrid,
+        )
+        res = optimize_decomposition(z, d0, OptimizerConfig(max_iters=20, grad_tol=1e-12))
+        assert res.iterations > 0 and res.n_gradients == res.iterations + 1
+        assert built == res.n_evals
 
     def test_monotone_history_on_real_problem(self):
         z, dtrue = spike_fixture()
@@ -456,7 +512,7 @@ class TestOptimizePathOnly:
         rng = np.random.default_rng(100 + r)
         p = 0.3 * z.tgrid.times + 0.0031 + 0.01 * rng.standard_normal(z.tgrid.m + 1)
         v = rng.standard_normal(p.size)
-        cfg = OptimizerConfig(grad_tol=np.inf)
+        cfg = OptimizerConfig(grad_tol=1e300)
 
         def reduced(x):
             res = optimize_path_only(z, PathRepr.nodal(x), r, cfg)
@@ -511,3 +567,22 @@ class TestConfigValidation:
             OptimizerConfig(variables=("coeffs", "bogus"))
         with pytest.raises(ValueError):
             OptimizerConfig(lam=-0.1)
+
+    @pytest.mark.parametrize(
+        "option",
+        [
+            {"lam": float("nan")},
+            {"lam": float("inf")},
+            {"grad_tol": float("nan")},
+            {"grad_tol": float("inf")},
+            {"grad_tol": -1e-8},
+            {"C": float("inf")},
+        ],
+        ids=["lam-nan", "lam-inf", "grad-tol-nan", "grad-tol-inf", "grad-tol-negative", "C-inf"],
+    )
+    def test_nonfinite_or_negative_option_rejected(self, option):
+        # a NaN tolerance never converges, a NaN lambda or an infinite bound
+        # fits without the penalty; each would also reach the manifests as
+        # invalid JSON
+        with pytest.raises(ValueError, match=next(iter(option))):
+            OptimizerConfig(**option)
