@@ -7,11 +7,13 @@ exactly the space-time norm the shifted-mode cost minimizes.  The mass
 matrix is circulant, so its square root comes from its Fourier symbol.
 The path-only fit solves the same problem at each path for the data pulled
 back by the transposed shift Grams, weighted on the right by the inverse mass
-root instead.  It needs only the leading singular triplets, which
-``_leading_svd`` finds by a block subspace iteration started from evenly
-spaced data rows and warm-started from the previous path after that.  Every
-SVD goes through :func:`truncated_svd`; a full one runs only where ``pod``
-needs the whole spectrum or the iteration falls back.
+root instead; it builds that matrix in Fourier space, from the data's spectra
+with the inverse root applied once per fit.  It needs only the leading
+singular triplets, which ``_leading_svd`` finds by a block subspace
+iteration started from evenly spaced data rows and warm-started from the
+previous path after that.  Every SVD goes through :func:`truncated_svd`; a
+full one runs only where ``pod`` needs the whole spectrum or the iteration
+falls back.
 """
 
 from __future__ import annotations

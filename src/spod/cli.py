@@ -5,8 +5,9 @@ Every command that writes outputs also writes a JSON run manifest next to
 them (atomically) echoing the full configuration; re-running with the echoed
 configuration reproduces the data outputs byte for byte.
 
-Exit codes: 0 success, 1 numerical failure (with ``--require-converged``),
-2 usage error, 3 I/O or parse error.
+Exit codes: 0 success, 1 numerical failure (a blown-up integration, or a fit
+that did not converge with ``--require-converged``), 2 usage error, 3 I/O or
+parse error.
 """
 
 from __future__ import annotations
@@ -483,6 +484,7 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = _build_parser()
     args = parser.parse_args(argv)
+    from .generators import IntegratorBlowupError
     from .optimizer import _keep_freed_memory
 
     _keep_freed_memory()
@@ -491,6 +493,9 @@ def main(argv: list[str] | None = None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
+    except IntegratorBlowupError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return NUMERICAL_EXIT
     except UnicodeDecodeError as exc:
         print(f"error: input is not UTF-8 text: {exc}", file=sys.stderr)
         return IO_EXIT

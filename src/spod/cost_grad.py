@@ -207,13 +207,9 @@ def _band_sum_rows(bands: np.ndarray, A: np.ndarray, sign: int) -> np.ndarray:
     return out
 
 
-def _apply_bands_rows(
-    bands: np.ndarray, qs: np.ndarray, A: np.ndarray, transpose: bool = False
-) -> np.ndarray:
-    """Row-wise products ``F(p_k) A[k]`` for a time-varying band family, or
-    with ``transpose`` the exact transposes ``F(p_k)^T A[k]``."""
-    sign = 1 if transpose else -1
-    return roll_rows(_band_sum_rows(bands, A, sign), -sign * qs)
+def _apply_bands_rows(bands: np.ndarray, qs: np.ndarray, A: np.ndarray) -> np.ndarray:
+    """Row-wise products ``F(p_k) A[k]`` for a time-varying band family."""
+    return roll_rows(_band_sum_rows(bands, A, -1), qs)
 
 
 # per-row data energy of each snapshot set; weak keys, so no snapshot set is

@@ -4,7 +4,8 @@ train, and synthetic traveling-profile fixtures with known ground truth.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -107,6 +108,9 @@ class FhnParams:
     dt_int: float = 0.01
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)}")
         if self.nu <= 0 or self.h <= 0 or self.length <= 0:
             raise ValueError("nu, h, and length must be positive")
         if self.tfinal <= 0 or self.dt_out <= 0 or self.dt_int <= 0:

@@ -10,13 +10,16 @@ Two drivers share one L-BFGS core:
   For a fixed path the cost is a weighted POD problem: its minimum is the
   truncation of ``B = W^{1/2} Y M^{-1/2}``, the rows of ``Y`` being the data
   pulled back by the transposed shift Grams, ``y_k = F(p_k)^T z_k``, and
-  ``M = F(0)`` the mass matrix.  The leading singular triplets come from a
-  block subspace iteration, started from evenly spaced rows of ``B`` at the
-  first evaluation and warm-started from the previous evaluation's right
-  singular vectors at every later one; it falls back to the full SVD only
-  when the block has not settled.  By the envelope theorem the partial path
-  gradient of the cost at the inner minimizer is the gradient of the
-  reduced objective.
+  ``M = F(0)`` the mass matrix.  Both operators are circulant, so ``B`` is
+  built from the data's spectra (taken once per fit) and the Fourier symbols
+  of the ``F(p_k)^T`` (Davis, Circulant Matrices, 1979); the full fit stays
+  on the band route, whose value is summed exactly.  The leading singular
+  triplets come from a block subspace iteration, started from evenly spaced
+  rows of ``B`` at the first evaluation and warm-started from the previous
+  evaluation's right singular vectors at every later one; it falls back to
+  the full SVD only when the block has not settled.  By the envelope theorem
+  the partial path gradient of the cost at the inner minimizer is the
+  gradient of the reduced objective.
 
 An objective maps a point to ``(f, gradient)``: the value, and a
 zero-argument callable that returns the gradient there.  The Armijo line
@@ -43,7 +46,6 @@ from .cost_grad import (
     Decomposition,
     Frame,
     PathRepr,
-    _apply_bands_rows,
     _data_energy,
     _Workspace,
     eval_cost,
@@ -54,7 +56,7 @@ from .cost_grad import (
     path_values,
     penalty_gradient,
 )
-from .shift_fem import _band_F, decompose_shift
+from .shift_fem import BAND_OFFSETS, _band_F, decompose_shift, roll_rows
 
 __all__ = [
     "VARIABLE_GROUPS",
@@ -401,6 +403,23 @@ def optimize_decomposition(
     return replace(result, decomposition=unpack(xs, d0, variables))
 
 
+def _pullback_rows(spectra: np.ndarray, bands: np.ndarray, q: np.ndarray, n: int) -> np.ndarray:
+    """Rows ``F(p_k)^T z_k`` from the half spectra ``rfft(z_k)``, the bands of
+    ``p_k``'s fractional part and its whole-cell offset ``q[k]``; a circulant
+    applied to the spectra, or a row scale to the bands, carries through.
+
+    ``F(p_k)^T`` has the Fourier symbol ``e^{2 pi i j q_k / n} sum_d
+    bands[k, d] e^{-2 pi i j delta_d / n}``: the band sums are one
+    ``(nt, 4) @ (4, n // 2 + 1)`` product, and the phase a roll of each row
+    after the inverse transform."""
+    j = np.arange(spectra.shape[1])
+    product = bands @ np.exp(-2j * np.pi / n * np.outer(BAND_OFFSETS, j))
+    product *= spectra
+    rows = np.fft.irfft(product, n, axis=1)
+    del product  # freed before the roll's doubled copy of the rows
+    return roll_rows(rows, -q)
+
+
 def optimize_path_only(
     z: SnapshotSet,
     path0: PathRepr,
@@ -416,10 +435,11 @@ def optimize_path_only(
 
         J*(p) = 1/2 (sum_k w_k z_k^T M z_k - ||B||_F^2) + 1/2 sum_{i>r} s_i(B)^2.
 
-    Every evaluation runs a block subspace iteration on ``min(3 r, nt, n)``
-    columns: the first starts from evenly spaced rows of ``B``, later ones
-    from the previous evaluation's right singular vectors, and it falls
-    back to the full SVD only when it has not settled (see
+    Every evaluation builds ``B`` from the data's spectra, taken once per
+    fit (:func:`_pullback_rows`), and runs a block subspace iteration on
+    ``min(3 r, nt, n)`` columns: the first starts from evenly spaced rows of
+    ``B``, later ones from the previous evaluation's right singular vectors,
+    and it falls back to the full SVD only when it has not settled (see
     :func:`spod.baseline_pod._leading_svd`).  The gradient is
     :func:`~spod.cost_grad.path_gradient_nodal` at the inner solution.  The
     returned decomposition is rebuilt at the final path, warm-started like
@@ -444,6 +464,9 @@ def optimize_path_only(
     # Fourier symbol of M^{-1/2} and the weighted data energy w_k z_k^T M z_k
     inv_root = 1.0 / np.sqrt(_mass_symbol(z.grid))
     energy = z.tgrid.weights * _data_energy(z)
+    # the data's half spectra with M^{-1/2} applied: fixed for the whole fit
+    spectra = np.fft.rfft(z.values, axis=1)
+    spectra *= inv_root[: n // 2 + 1]
 
     # right singular vectors of the previous evaluation: the warm start
     warm = None
@@ -452,11 +475,8 @@ def optimize_path_only(
         nonlocal warm
         path = PathRepr(path0.kind, x)
         q, frac = decompose_shift(path_values(path, times), z.grid)
-        # B = W^{1/2} Y M^{-1/2} with rows y_k = F(p_k)^T z_k (Y freed before the SVD)
-        Y = _apply_bands_rows(_band_F(frac, z.grid.h), q, z.values, transpose=True)
-        B = _apply_symbol(Y, inv_root)
-        del Y
-        B *= sqw[:, None]
+        # B = W^{1/2} Y M^{-1/2} with rows y_k = F(p_k)^T z_k, W^{1/2} in the bands
+        B = _pullback_rows(spectra, sqw[:, None] * _band_F(frac, z.grid.h), q, n)
         # w_k (z_k^T M z_k - y_k^T M^{-1} y_k) >= 0 per row, summed exactly
         projected = math.fsum(np.concatenate([energy, -np.einsum("kl,kl->k", B, B)]).tolist())
         U, s, warm, discarded = _leading_svd(B, r, warm)

@@ -55,6 +55,22 @@ class TestGenerate:
             main(["generate", "burgers"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize(
+        "extra, code",
+        [(["--a", "nan"], 2), (["--nu", "nan"], 2), (["--eps", "inf"], 2), (["--b", "nan"], 2),
+         (["--a", "1e6"], 1)],
+        ids=["a-nan", "nu-nan", "eps-inf", "b-nan", "a-blowup"],
+    )
+    def test_bad_fhn_parameter_is_one_error_line(self, tmp_path, capsys, extra, code):
+        out = tmp_path / "f.spod"
+        capsys.readouterr()
+        argv = ["generate", "fhn", "--dt-int", "0.05", "--tfinal", "20", *extra, "-o", str(out)]
+        assert main(argv) == code
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert ("dt_int" in err[0]) == (code == 1)
+        assert not out.exists()
+
 
 @pytest.mark.parametrize(
     "argv, skipped",

@@ -23,7 +23,7 @@ from spod.cost_grad import (
     reconstruct,
 )
 from spod.generators import TravelingProfile, synthetic_traveling
-from spod.optimizer import pack, pack_gradient, unpack
+from spod.optimizer import _pullback_rows, pack, pack_gradient, unpack
 from spod.shift_fem import (
     BAND_OFFSETS,
     _band_F,
@@ -508,16 +508,26 @@ class TestBandKernelsMatchRolls:
         out = _mode_rolls(modes)
         assert out.shape == expected.shape and out.tobytes() == expected.tobytes()
 
-    @pytest.mark.parametrize("band", [_band_F, _band_G])
-    @pytest.mark.parametrize("transpose", [False, True])
-    def test_apply_bands_rows(self, rng, band, transpose):
+    def _rolled_rows(self, rng, band, sign):
+        """Rows ``sum_d b_d[k] A[k]`` rolled by ``sign delta_d`` and then by
+        ``-sign q_k`` through ``np.roll``: ``F(p_k) A[k]`` for ``sign = -1``,
+        ``F(p_k)^T A[k]`` for ``sign = 1``."""
         A = rng.standard_normal((9, self.GRID.n))
         q, fr = decompose_shift(rng.uniform(-3.0, 3.0, 9), self.GRID)
         bands = band(fr, self.GRID.h)
-        sign = 1 if transpose else -1
         rolled = np.zeros_like(A)
         for dlt, b in zip(BAND_OFFSETS, bands.T):
             rolled += b[:, None] * np.roll(A, sign * dlt, axis=1)
-        expected = roll_rows(rolled, -sign * q)
-        out = _apply_bands_rows(bands, q, A, transpose=transpose)
+        return A, q, bands, roll_rows(rolled, -sign * q)
+
+    @pytest.mark.parametrize("band", [_band_F, _band_G])
+    def test_apply_bands_rows(self, rng, band):
+        A, q, bands, expected = self._rolled_rows(rng, band, -1)
+        out = _apply_bands_rows(bands, q, A)
         assert out.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("band", [_band_F, _band_G])
+    def test_pullback_rows_match_rolled_transposes(self, rng, band):
+        A, q, bands, expected = self._rolled_rows(rng, band, 1)
+        out = _pullback_rows(np.fft.rfft(A, axis=1), bands, q, self.GRID.n)
+        assert np.max(np.abs(out - expected)) <= 1e-13 * np.max(np.abs(expected))

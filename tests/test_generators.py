@@ -174,6 +174,15 @@ class TestFhn:
         with pytest.raises(ValueError):
             FhnParams(dt_int=0.03)  # does not divide dt_out evenly
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("a", np.nan), ("nu", np.nan), ("eps", np.inf), ("b", np.nan), ("length", np.inf),
+         ("tfinal", np.nan), ("dt_int", -np.inf)],
+    )
+    def test_nonfinite_parameter_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            FhnParams(**{field: value})
+
 
 class TestSyntheticTraveling:
     def setup_method(self):

@@ -3,6 +3,7 @@ import weakref
 import numpy as np
 import pytest
 
+from spod.baseline_pod import _mass_symbol
 from spod.core import SnapshotSet, SpatialGrid, make_uniform_time_grid
 from spod.cost_grad import (
     Decomposition,
@@ -17,13 +18,16 @@ from spod.generators import TravelingProfile, synthetic_traveling
 from spod.optimizer import (
     MAX_BACKTRACKS,
     OptimizerConfig,
+    _pullback_rows,
     lbfgs_minimize,
     optimize_decomposition,
     optimize_path_only,
     pack,
     unpack,
 )
-from spod.shift_fem import apply_gram, gram_F
+from spod.shift_fem import _SNAP_REL, _band_F, apply_gram, decompose_shift, gram_F
+
+from oracles import gram_to_dense
 
 
 def spike_fixture(n=32, m=16):
@@ -431,6 +435,28 @@ class TestOptimizeDecomposition:
 
 
 class TestOptimizePathOnly:
+    @pytest.mark.parametrize("n", [15, 16], ids=["odd-n", "even-n"])
+    def test_fourier_built_B_matches_dense_grams(self, rng, n):
+        """B = W^{1/2} (F(p_k)^T z_k) M^{-1/2}, built as the fit builds it, against
+        dense Grams: whole cells, rests within the snap tolerance of a cell
+        boundary on either side, negative shifts and shifts far beyond L."""
+        grid = SpatialGrid(n, 1.3)
+        h, L = grid.h, grid.length
+        snap = _SNAP_REL * h
+        p = np.array([0.0, 3 * h, -5 * h, 2 * h - snap / 2, 4 * h + snap / 2, 6 * h + 3 * snap,
+                      0.37 * h, -2.6 * h, 1e3 * L + 0.3 * h, -1e4 * L - 1.7 * h])
+        tg = make_uniform_time_grid(p.size - 1, 1.0)
+        Z = rng.standard_normal((p.size, n))
+        sqw = np.sqrt(tg.weights)
+        evals, evecs = np.linalg.eigh(gram_to_dense(gram_F(0.0, grid)))
+        inv_root = (evecs / np.sqrt(evals)) @ evecs.T
+        Y = np.stack([gram_to_dense(gram_F(pk, grid)).T @ zk for pk, zk in zip(p, Z)])
+        expected = sqw[:, None] * (Y @ inv_root)
+        spectra = np.fft.rfft(Z, axis=1) / np.sqrt(_mass_symbol(grid))[: n // 2 + 1]
+        q, frac = decompose_shift(p, grid)
+        B = _pullback_rows(spectra, sqw[:, None] * _band_F(frac, h), q, n)
+        assert np.max(np.abs(B - expected)) <= 1e-13 * np.max(np.abs(expected))
+
     def test_exactly_representable_profile(self):
         grid = SpatialGrid(32, 1.0)
         tg = make_uniform_time_grid(16, 1.0)
