@@ -42,6 +42,9 @@ SUBSPACE_FACTOR = 3
 SUBSPACE_RTOL = 1e-15
 # sweeps before falling back to the full SVD
 SUBSPACE_MAX_SWEEPS = 6
+# the last sweep settles at this instead: SUBSPACE_RTOL is the rounding floor
+# of that sum, which the moves of a converged block can straddle every sweep
+SUBSPACE_FLOOR_RTOL = 1e-13
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,8 +107,9 @@ def _leading_svd(
     triplets from the small SVD of ``(B^T Q)^T`` (Golub & Van Loan, Matrix
     Computations, section 8.2).  The block has settled once
     ``sum_{i<=r} s_i^2`` moves by at most ``SUBSPACE_RTOL`` relatively
-    between two sweeps and the energy left outside the block,
-    ``E = ||B||_F^2 - sum_{i<=k} s_i^2``, is below ``s_r^2``.  Every singular
+    between two sweeps (``SUBSPACE_FLOOR_RTOL`` at the last sweep, so that
+    rounding alone never forces the full SVD) and the energy left outside
+    the block, ``E = ||B||_F^2 - sum_{i<=k} s_i^2``, is below ``s_r^2``.  Every singular
     value of ``B`` missing from an invariant block has ``s^2 <= E``, so the
     second test rules out a missed direction above ``s_r``; a block that
     settles on the wrong invariant subspace (say, trailing vectors) fails
@@ -123,14 +127,15 @@ def _leading_svd(
     # per-row sums: a whole-matrix dot product is split across BLAS threads
     total = math.fsum(np.einsum("kl,kl->k", B, B))
     head = None
-    for _ in range(SUBSPACE_MAX_SWEEPS):
+    for sweep in range(1, SUBSPACE_MAX_SWEEPS + 1):
         Q = np.linalg.qr(B @ V)[0]
         # (B^T Q)^T = X diag(s) V^T: LAPACK factors the tall n x k side faster
         V, s, X = truncated_svd(B.T @ Q, k)
         prev, head = head, math.fsum(s[:r] ** 2)
+        rtol = SUBSPACE_RTOL if sweep < SUBSPACE_MAX_SWEEPS else SUBSPACE_FLOOR_RTOL
         if (
             prev is not None
-            and abs(head - prev) <= SUBSPACE_RTOL * head
+            and abs(head - prev) <= rtol * head
             and (k == min(nt, n) or total - math.fsum(s**2) < s[r - 1] ** 2)
         ):
             return Q @ X[:, :r], s[:r], V, 0.5 * (total - head)

@@ -4,6 +4,7 @@ import pytest
 from spod import baseline_pod
 from spod.baseline_pod import (
     SUBSPACE_FACTOR,
+    SUBSPACE_MAX_SWEEPS,
     _apply_symbol,
     _leading_svd,
     _mass_symbol,
@@ -100,6 +101,23 @@ class TestLeadingSvd:
         svd_shapes.clear()
         got = _leading_svd(B, 4, V0)
         assert B.shape not in svd_shapes  # settled without the full SVD
+        self.assert_matches_full_svd(B, 4, got)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_block_at_the_rounding_floor_settles_on_the_last_sweep(
+        self, seed, svd_shapes, monkeypatch
+    ):
+        # a converged block whose energy moves by rounding on every sweep
+        # straddles SUBSPACE_RTOL; below-zero stands in for missing it each time
+        monkeypatch.setattr(baseline_pod, "SUBSPACE_RTOL", -1.0)
+        rng = np.random.default_rng(seed)
+        B = spectrum_matrix(rng, 60, 50, 0.7 ** np.arange(50))
+        V0 = np.linalg.svd(B)[2][:12].T
+        calls = spy_truncated_svd(monkeypatch)
+        svd_shapes.clear()
+        got = _leading_svd(B, 4, V0)
+        assert B.shape not in svd_shapes
+        assert len(calls) == SUBSPACE_MAX_SWEEPS
         self.assert_matches_full_svd(B, 4, got)
 
     @pytest.mark.parametrize("seed", [4, 5, 6])
