@@ -22,10 +22,17 @@ Two drivers share one L-BFGS core:
   gradient of the reduced objective.
 
 An objective maps a point to ``(f, gradient)``: the value, and a
-zero-argument callable that returns the gradient there.  The Armijo line
-search decides on values alone, so :func:`lbfgs_minimize` calls ``gradient``
-only at the start point and at the point each line search accepts; a
-rejected or superseded trial costs one value evaluation, never a gradient.
+zero-argument callable that returns the gradient there together with a
+positive diagonal ``D`` of the Hessian, or ``None``.  The Armijo line search
+decides on values alone, so :func:`lbfgs_minimize` calls ``gradient`` only at
+the start point and at the point each line search accepts; a rejected or
+superseded trial costs one value evaluation, never a gradient.  The two-loop
+recursion starts from ``H_0 = gamma D^{-1}`` with ``gamma = s^T y / y^T D^{-1}
+y`` (Liu & Nocedal, Math. Prog. 1989; Nocedal & Wright, Numerical
+Optimization, section 7.2), or from the scalar ``(s^T y / y^T y) I`` without
+a diagonal.  The full fit supplies the Gauss-Newton diagonal of the cost,
+closed form and blind to the penalty (:func:`_gauss_newton_diagonal`); the
+path-only fit supplies none.
 
 Everything is deterministic: no randomized initialization anywhere.
 """
@@ -56,7 +63,7 @@ from .cost_grad import (
     path_values,
     penalty_gradient,
 )
-from .shift_fem import BAND_OFFSETS, _band_F, decompose_shift, roll_rows
+from .shift_fem import BAND_OFFSETS, _band_F, apply_gram, decompose_shift, roll_rows
 
 __all__ = [
     "VARIABLE_GROUPS",
@@ -81,8 +88,10 @@ MAX_BACKTRACKS = 60
 MAX_EXPANSIONS = 30
 
 ProgressCallback = Callable[[int, float, float], None]
-# a point -> its value and a deferred gradient there (see the module docstring)
-Objective = Callable[[np.ndarray], tuple[float, Callable[[], np.ndarray]]]
+# a point -> its value and a deferred (gradient, Hessian diagonal or None)
+# there (see the module docstring)
+Gradient = Callable[[], tuple[np.ndarray, Optional[np.ndarray]]]
+Objective = Callable[[np.ndarray], tuple[float, Gradient]]
 
 
 @dataclass(frozen=True)
@@ -198,8 +207,13 @@ def pack_gradient(
     return _flatten(zip(g.g_coeffs, g.g_paths, g.g_modes), variables)
 
 
-def _two_loop(g: np.ndarray, memory: deque) -> np.ndarray:
-    """The L-BFGS direction ``-H g`` from the ``(s, y, 1/s.y)`` memory."""
+def _two_loop(g: np.ndarray, memory: deque, diagonal: Optional[np.ndarray]) -> np.ndarray:
+    """The L-BFGS direction ``-H g`` from the ``(s, y, 1/s.y)`` memory.
+
+    ``H_0`` is ``gamma D^{-1}`` with ``gamma = s.y / y.D^{-1}y`` for the
+    newest pair and the positive ``diagonal`` ``D``, or ``(s.y / y.y) I``
+    when ``diagonal`` is ``None``; with an empty memory it is the identity.
+    """
     q = g.copy()
     alphas = []
     for s, y, rho in reversed(memory):
@@ -208,7 +222,8 @@ def _two_loop(g: np.ndarray, memory: deque) -> np.ndarray:
         q -= a * y
     if memory:
         s, y, _ = memory[-1]
-        q *= np.dot(s, y) / np.dot(y, y)
+        inverse = 1.0 if diagonal is None else 1.0 / diagonal
+        q *= (np.dot(s, y) / np.dot(y, inverse * y)) * inverse
     for (s, y, rho), a in zip(memory, reversed(alphas)):
         q += (a - rho * np.dot(y, q)) * s
     return -q
@@ -280,10 +295,19 @@ def lbfgs_minimize(
     """Two-loop-recursion L-BFGS with Armijo backtracking.
 
     ``objective(x)`` returns ``(f, gradient)`` with ``gradient`` a
-    zero-argument callable.  Line-search trials read only ``f``, so
-    ``gradient`` is called exactly once at ``x0`` and once at each accepted
-    point: ``iterations + 1`` times in all.  A trial's ``gradient`` is
-    dropped once it is rejected or taken, so whatever state it holds is
+    zero-argument callable that returns ``(g, D)``: the gradient and a
+    positive diagonal of the Hessian there, or ``None`` for no diagonal.
+    Each quasi-Newton direction starts from ``H_0 = gamma D^{-1}``, ``D``
+    the diagonal at the current point and ``gamma = s^T y / y^T D^{-1} y``
+    for the newest pair (Liu & Nocedal, Math. Prog. 1989), or from the
+    scalar ``(s^T y / y^T y) I`` where ``D`` is ``None``; a step from an
+    empty memory (the first, and the steepest-descent restart) is the
+    unscaled ``-g`` either way.  :func:`optimize_decomposition` supplies
+    the Gauss-Newton diagonal of the cost, which ignores the penalty;
+    :func:`optimize_path_only` supplies none.  Line-search trials read only
+    ``f``, so ``gradient`` is called exactly once at ``x0`` and once at each
+    accepted point: ``iterations + 1`` times in all.  A trial's ``gradient``
+    is dropped once it is rejected or taken, so whatever state it holds is
     freed: when ``objective`` is called, at most one earlier trial (the one
     an expanding line search has accepted so far) is still alive.
 
@@ -308,7 +332,7 @@ def lbfgs_minimize(
 
     x = np.array(x0, dtype=float)
     f, gradient = evaluate(x)
-    g = gradient()
+    g, diagonal = gradient()
     gradient = None
     n_gradients = 1
     if not (np.isfinite(f) and np.all(np.isfinite(g))):
@@ -326,7 +350,7 @@ def lbfgs_minimize(
         if iterations == cfg.max_iters:
             termination = "max-iters"
             break
-        direction = _two_loop(g, memory)
+        direction = _two_loop(g, memory, diagonal)
         gd = float(np.dot(g, direction))
         if gd >= 0.0:
             # not a descent direction: fall back to steepest descent
@@ -342,7 +366,7 @@ def lbfgs_minimize(
             termination = "line-search-failure"
             break
         xn, fn, gradient = hit
-        gn = gradient()
+        gn, diagonal = gradient()
         n_gradients += 1
         # the trial is spent: free its state before the next line search
         hit = gradient = None
@@ -381,7 +405,9 @@ def optimize_decomposition(
     (the closed-form subgradient).  The workspace lives as long as the
     trial's gradient closure, so a rejected trial frees it.  The values
     agree bitwise with those of the gradient calls, so the line search sees
-    the same costs either way.
+    the same costs either way.  Each gradient comes with the Gauss-Newton
+    diagonal of the cost at its point (:func:`_gauss_newton_diagonal`, from
+    the same workspace), which scales the L-BFGS initial inverse Hessian.
     """
     variables = cfg.variables
     x0 = pack(d0, variables)
@@ -391,16 +417,49 @@ def optimize_decomposition(
         ws = _Workspace(z, d)
         value = eval_penalized_cost(z, d, cfg.C, cfg.lam, workspace=ws)
 
-        def gradient() -> np.ndarray:
+        def gradient():
             gx = pack_gradient(eval_cost_gradient(z, d, workspace=ws), d, variables)
             if cfg.lam > 0.0:
                 gx = gx + cfg.lam * pack_gradient(penalty_gradient(d, cfg.C), d, variables)
-            return gx
+            return gx, _gauss_newton_diagonal(ws, variables)
 
         return value, gradient
 
     xs, result = lbfgs_minimize(objective, x0, cfg, callback)
     return replace(result, decomposition=unpack(xs, d0, variables))
+
+
+def _gauss_newton_diagonal(ws: _Workspace, variables: Sequence[str]) -> np.ndarray:
+    """The diagonal of the cost's Gauss-Newton Hessian at ``ws``'s point,
+    packed like :func:`pack` and floored at 1e-12 of its largest entry.
+
+    Per frame, with ``w`` the time weights, ``M = F(0)``, ``K`` the
+    stiffness Gram and ``u_k = (a Phi)_k`` the frame's rows:
+
+    * coefficient ``(k, i)``: ``w_k phi_i^T M phi_i``;
+    * path node ``k``: ``w_k u_k^T K u_k``, which is ``w_k ||d/dp T(p) u_k||^2``
+      since the shift is exact in L2; a polynomial path takes ``(V^2)^T`` of
+      it, ``V`` the monomial Vandermonde;
+    * mode entry ``(i, l)``: ``M_ll sum_k w_k a_ki^2``.
+
+    The admissible-set penalty is ignored.  A point where every entry is
+    zero gets the all-ones diagonal, which is the scalar scaling.
+    """
+    d = ws.d
+    mass = np.full(d.grid.n, ws.F0.band[BAND_OFFSETS.index(0)])
+    blocks = []
+    for f, u in zip(d.frames, ws.U):
+        mode_energy = np.einsum("il,il->i", f.modes, apply_gram(ws.F0, f.modes))
+        # u_k^T K u_k is the sum of the squared periodic node differences over h
+        du = u[:, 1:] - u[:, :-1]
+        nodal = ws.w / d.grid.h * (np.einsum("kl,kl->k", du, du) + (u[:, 0] - u[:, -1]) ** 2)
+        if f.path.kind == "polynomial":
+            nodal = (np.vander(ws.times, f.path.values.size, increasing=True) ** 2).T @ nodal
+        amplitude = ws.w @ f.coeffs**2
+        blocks.append((np.outer(ws.w, mode_energy), nodal, np.outer(amplitude, mass)))
+    D = _flatten(blocks, variables)
+    top = D.max()
+    return np.maximum(D, 1e-12 * top) if top > 0.0 else np.ones_like(D)
 
 
 def _pullback_rows(spectra: np.ndarray, bands: np.ndarray, q: np.ndarray, n: int) -> np.ndarray:
@@ -487,7 +546,10 @@ def optimize_path_only(
 
     def objective(x: np.ndarray):
         cost, d = inner(x)
-        return cost, lambda: path_pullback(d.frames[0].path, times, path_gradient_nodal(z, d)[0])
+        return cost, lambda: (
+            path_pullback(d.frames[0].path, times, path_gradient_nodal(z, d)[0]),
+            None,
+        )
 
     xs, result = lbfgs_minimize(objective, np.array(path0.values, dtype=float), cfg, callback)
     final_cost, d_final = inner(xs)

@@ -189,7 +189,7 @@ def test_criterion_4_spod_burgers(burgers_data):
             line += f" (bound {bounds[r]:.3e})"
         line += (
             f", {res.iterations} iterations, {res.n_evals} evaluations, "
-            f"{res.n_gradients} gradients"
+            f"{res.n_gradients} gradients, {res.termination}"
         )
         details.append(line)
     elapsed = time.perf_counter() - t0

@@ -9,23 +9,35 @@ from spod.cost_grad import (
     Decomposition,
     Frame,
     PathRepr,
+    _Workspace,
     data_norm_sq,
     eval_cost,
+    eval_cost_gradient,
     path_gradient_nodal,
     reconstruct,
 )
 from spod.generators import TravelingProfile, synthetic_traveling
 from spod.optimizer import (
     MAX_BACKTRACKS,
+    VARIABLE_GROUPS,
     OptimizerConfig,
+    _gauss_newton_diagonal,
     _pullback_rows,
     lbfgs_minimize,
     optimize_decomposition,
     optimize_path_only,
     pack,
+    pack_gradient,
     unpack,
 )
-from spod.shift_fem import _SNAP_REL, _band_F, apply_gram, decompose_shift, gram_F
+from spod.shift_fem import (
+    _SNAP_REL,
+    _band_F,
+    apply_gram,
+    decompose_shift,
+    gram_F,
+    stiffness_gram,
+)
 
 from oracles import gram_to_dense
 
@@ -118,10 +130,11 @@ class TestPacking:
 
 
 def quadratic(A, b):
-    """The objective ``x^T A x / 2 - b^T x`` with its deferred gradient."""
+    """The objective ``x^T A x / 2 - b^T x`` with its deferred gradient and
+    no diagonal."""
 
     def objective(x):
-        return 0.5 * float(x @ A @ x) - float(b @ x), lambda: A @ x - b
+        return 0.5 * float(x @ A @ x) - float(b @ x), lambda: (A @ x - b, None)
 
     return objective
 
@@ -129,7 +142,7 @@ def quadratic(A, b):
 def rosenbrock(x):
     a, b = x
     f = (1 - a) ** 2 + 100 * (b - a * a) ** 2
-    return f, lambda: np.array([-2 * (1 - a) - 400 * a * (b - a * a), 200 * (b - a * a)])
+    return f, lambda: (np.array([-2 * (1 - a) - 400 * a * (b - a * a), 200 * (b - a * a)]), None)
 
 
 def well_conditioned_quadratic(rng):
@@ -211,7 +224,7 @@ class TestLbfgs:
 
     def test_stationary_start_returns_immediately(self):
         def objective(x):
-            return float(x @ x), lambda: 2 * x
+            return float(x @ x), lambda: (2 * x, None)
 
         x, hist = lbfgs_minimize(objective, np.zeros(4), OptimizerConfig(grad_tol=1e-12))
         assert hist.iterations == 0
@@ -219,7 +232,7 @@ class TestLbfgs:
 
     def test_nonfinite_start_rejected(self):
         def objective(x):
-            return np.inf, lambda: x
+            return np.inf, lambda: (x, None)
 
         with pytest.raises(ValueError):
             lbfgs_minimize(objective, np.zeros(2), OptimizerConfig())
@@ -242,7 +255,7 @@ class TestLbfgs:
         def objective(x):
             nonlocal evals
             evals += 1
-            return 1e20 + float(np.sum(x)), lambda: np.ones_like(x)
+            return 1e20 + float(np.sum(x)), lambda: (np.ones_like(x), None)
 
         _, hist = lbfgs_minimize(objective, np.ones(3), OptimizerConfig(max_iters=1000))
         assert hist.termination == "line-search-failure"
@@ -268,6 +281,143 @@ class TestLbfgs:
         lbfgs_minimize(objective, np.zeros(10), OptimizerConfig(max_iters=5))
         assert calls[:2] == ["allocator", "evaluation"]
         assert calls.count("allocator") == 1
+
+
+def separable_quadratic(with_diagonal):
+    """``sum_i h_i x_i^2 / 2 - b^T x`` with curvatures ``h`` from 1 to 1e6,
+    minimized at ``x_i`` from 1 to 2; its gradient comes with the exact
+    Hessian diagonal ``h``, or with none."""
+    h = np.logspace(0, 6, 20)
+    b = h * np.linspace(1.0, 2.0, 20)
+
+    def objective(x):
+        f = 0.5 * float(np.sum(h * x * x)) - float(b @ x)
+        return f, lambda: (h * x - b, h if with_diagonal else None)
+
+    return objective, b / h
+
+
+class TestDiagonalScaling:
+    def test_exact_diagonal_converges_in_a_few_iterations(self):
+        cfg = OptimizerConfig(max_iters=500, grad_tol=1e-6)
+        scaled, xstar = separable_quadratic(True)
+        x, hist = lbfgs_minimize(scaled, np.zeros(xstar.size), cfg)
+        assert hist.termination == "converged"
+        assert hist.iterations <= 3
+        assert np.max(np.abs(x - xstar)) < 1e-12
+        # the scalar scaling crawls along the stiff coordinates
+        plain, _ = separable_quadratic(False)
+        _, hist = lbfgs_minimize(plain, np.zeros(xstar.size), cfg)
+        assert hist.termination == "max-iters"
+        assert hist.iterations == 500
+
+    def test_only_the_full_fit_supplies_a_diagonal(self, monkeypatch):
+        import spod.optimizer
+
+        diagonals = []
+        two_loop = spod.optimizer._two_loop
+
+        def spy(g, memory, diagonal):
+            diagonals.append(diagonal)
+            return two_loop(g, memory, diagonal)
+
+        monkeypatch.setattr(spod.optimizer, "_two_loop", spy)
+        z = pulse_and_wave()
+        cfg = OptimizerConfig(max_iters=5, grad_tol=1e-12)
+        optimize_path_only(z, PathRepr.nodal(0.3 * z.tgrid.times + 0.0031), 2, cfg)
+        assert diagonals and all(d is None for d in diagonals)
+        diagonals.clear()
+        z, dtrue = spike_fixture()
+        h = dtrue.grid.h
+        d0 = Decomposition(
+            tuple(
+                Frame(PathRepr.nodal(f.path.values + off * h), f.modes, f.coeffs)
+                for f, off in zip(dtrue.frames, (0.3, -0.2))
+            ),
+            dtrue.grid,
+            dtrue.tgrid,
+        )
+        optimize_decomposition(z, d0, cfg)
+        assert diagonals
+        assert all(d.shape == pack(d0).shape and np.all(d > 0) for d in diagonals)
+
+
+def random_decomposition(rng, grid, tg, kinds=("nodal", "polynomial")):
+    nt = tg.m + 1
+    frames = []
+    for r, kind in enumerate(kinds, start=1):
+        size = nt if kind == "nodal" else 3
+        frames.append(
+            Frame(
+                PathRepr(kind, rng.standard_normal(size)),
+                rng.standard_normal((r, grid.n)),
+                rng.standard_normal((nt, r)),
+            )
+        )
+    return Decomposition(tuple(frames), grid, tg)
+
+
+class TestGaussNewtonDiagonal:
+    def test_path_block_is_the_stiffness_energy_of_the_frame_rows(self, rng):
+        # nodal paths take w_k u_k^T K u_k as it is, polynomial ones (V^2)^T of it
+        grid = SpatialGrid(20, 1.3)
+        tg = make_uniform_time_grid(9, 0.8)
+        d = random_decomposition(rng, grid, tg)
+        z = SnapshotSet(grid, tg, rng.standard_normal((tg.m + 1, grid.n)))
+        diagonal = _gauss_newton_diagonal(_Workspace(z, d), VARIABLE_GROUPS)
+        K = gram_to_dense(stiffness_gram(grid))
+        for f, got in zip(d.frames, unpack(diagonal, d).frames):
+            u = f.coeffs @ f.modes
+            nodal = tg.weights * np.einsum("kl,lm,km->k", u, K, u)
+            if f.path.kind == "polynomial":
+                V = np.vander(tg.times, f.path.values.size, increasing=True)
+                expected = (V**2).T @ nodal
+            else:
+                expected = nodal
+            assert np.allclose(got.path.values, expected, rtol=1e-13, atol=0)
+
+    def test_coefficient_and_mode_blocks_match_the_hessian_diagonal(self):
+        # at an exact fit the Gauss-Newton matrix is the Hessian; the cost is
+        # quadratic in each coefficient and mode entry, so central differences
+        # of the gradient are exact up to rounding
+        z, d = spike_fixture()
+        variables = ("coeffs", "modes")
+        x = pack(d, variables)
+
+        def gradient(xv):
+            dv = unpack(xv, d, variables)
+            return pack_gradient(eval_cost_gradient(z, dv), dv, variables)
+
+        step = 1e-2
+        fd = np.empty(x.size)
+        for j in range(x.size):
+            e = np.zeros(x.size)
+            e[j] = step
+            fd[j] = (gradient(x + e)[j] - gradient(x - e)[j]) / (2 * step)
+        diagonal = _gauss_newton_diagonal(_Workspace(z, d), variables)
+        assert np.allclose(diagonal, fd, rtol=1e-9, atol=0)
+
+    def test_zero_mode_frame_is_floored(self, rng):
+        grid = SpatialGrid(16, 1.0)
+        tg = make_uniform_time_grid(7, 1.0)
+        d = random_decomposition(rng, grid, tg, kinds=("nodal", "nodal"))
+        silent = Frame(d.frames[0].path, np.zeros(d.frames[0].modes.shape), d.frames[0].coeffs)
+        d = Decomposition((silent, d.frames[1]), grid, tg)
+        z = SnapshotSet(grid, tg, rng.standard_normal((tg.m + 1, grid.n)))
+        diagonal = _gauss_newton_diagonal(_Workspace(z, d), VARIABLE_GROUPS)
+        assert np.all(np.isfinite(diagonal)) and np.all(diagonal > 0)
+        floor = 1e-12 * diagonal.max()
+        blocks = unpack(diagonal, d).frames[0]
+        # its coefficients and path see no modes: both blocks sit at the floor
+        assert np.all(blocks.coeffs == floor)
+        assert np.all(blocks.path.values == floor)
+        assert diagonal.min() == floor
+        # with no mode and no coefficient anywhere, every entry is zero: the
+        # all-ones diagonal, the scalar scaling
+        blank = Frame(silent.path, silent.modes, np.zeros(silent.coeffs.shape))
+        d = Decomposition((blank,), grid, tg)
+        zeros = _gauss_newton_diagonal(_Workspace(z, d), VARIABLE_GROUPS)
+        assert np.array_equal(zeros, np.ones(pack(d).size))
 
 
 class TestOptimizeDecomposition:
