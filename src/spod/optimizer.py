@@ -24,15 +24,18 @@ Two drivers share one L-BFGS core:
 An objective maps a point to ``(f, gradient)``: the value, and a
 zero-argument callable that returns the gradient there together with a
 positive diagonal ``D`` of the Hessian, or ``None``.  The Armijo line search
-decides on values alone, so :func:`lbfgs_minimize` calls ``gradient`` only at
-the start point and at the point each line search accepts; a rejected or
-superseded trial costs one value evaluation, never a gradient.  The two-loop
-recursion starts from ``H_0 = gamma D^{-1}`` with ``gamma = s^T y / y^T D^{-1}
-y`` (Liu & Nocedal, Math. Prog. 1989; Nocedal & Wright, Numerical
-Optimization, section 7.2), or from the scalar ``(s^T y / y^T y) I`` without
-a diagonal.  The full fit supplies the Gauss-Newton diagonal of the cost,
-closed form and blind to the penalty (:func:`_gauss_newton_diagonal`); the
-path-only fit supplies none.
+decides on values, and reads one gradient besides: at a unit step that passes
+Armijo it checks the weak Wolfe curvature condition (Nocedal & Wright,
+Numerical Optimization, section 3.1), and doubles the step only when that
+says it is too short.  So :func:`lbfgs_minimize` calls ``gradient`` at the
+start point, at such a unit step (kept if the step is accepted) and at the
+point each line search accepts; a backtracked or doubled trial costs one
+value evaluation, never a gradient.  The two-loop recursion starts from
+``H_0 = gamma D^{-1}`` with ``gamma = s^T y / y^T D^{-1} y`` (Liu & Nocedal,
+Math. Prog. 1989; Nocedal & Wright, section 7.2), or from the scalar
+``(s^T y / y^T y) I`` without a diagonal.  The full fit supplies the
+Gauss-Newton diagonal of the cost, closed form and blind to the penalty
+(:func:`_gauss_newton_diagonal`); the path-only fit supplies none.
 
 Everything is deterministic: no randomized initialization anywhere.
 """
@@ -81,8 +84,11 @@ VARIABLE_GROUPS = ("coeffs", "paths", "modes")
 
 # a line search starts from the unit step and multiplies it by BACKTRACK_FACTOR
 # until the Armijo rule with ARMIJO_C holds, giving up after MAX_BACKTRACKS
-# steps; it doubles an immediately accepted step at most MAX_EXPANSIONS times
+# steps; it doubles an immediately accepted step that fails the curvature
+# condition with CURVATURE_C (the quasi-Newton value of Nocedal & Wright,
+# section 3.1) at most MAX_EXPANSIONS times
 ARMIJO_C = 1e-4
+CURVATURE_C = 0.9
 BACKTRACK_FACTOR = 0.5
 MAX_BACKTRACKS = 60
 MAX_EXPANSIONS = 30
@@ -133,7 +139,9 @@ class OptimizerResult:
 
     :func:`lbfgs_minimize` leaves ``decomposition`` as ``None``; the drivers
     fill it in from the final point.  ``n_evals`` counts objective (value)
-    evaluations, ``n_gradients`` the gradients taken of them.
+    evaluations, ``n_gradients`` every gradient taken of them: one at the
+    start, one per accepted point, and one per curvature probe that a doubled
+    step superseded.
     """
 
     decomposition: Optional[Decomposition]
@@ -231,10 +239,17 @@ def _two_loop(g: np.ndarray, memory: deque, diagonal: Optional[np.ndarray]) -> n
 
 def _line_search(objective: Objective, x: np.ndarray, f: float, direction: np.ndarray, gd: float):
     """Armijo backtracking from the unit step along ``direction`` (with
-    ``gd`` the directional derivative): the accepted ``(x, f, gradient)``,
-    its gradient not yet taken, or ``None`` once ``MAX_BACKTRACKS`` steps
-    failed or a step no longer moves ``x``.  A step is accepted only if it
-    also lowers the cost."""
+    ``gd`` the directional derivative): the accepted ``(x, f, g, D)``, or
+    ``None`` once ``MAX_BACKTRACKS`` steps failed or a step no longer moves
+    ``x``.  A step is accepted only if it also lowers the cost.
+
+    A unit step that passes Armijo is probed: its gradient is taken, and if
+    the weak Wolfe curvature condition ``g_n.d >= CURVATURE_C gd`` holds the
+    step is not too short and is accepted with that gradient.  Otherwise it
+    is doubled while the decrease rule holds and the value keeps falling,
+    and the probe's gradient serves if no doubling is accepted.  Backtracked
+    and doubled trials cost one value each, and of them only the accepted
+    one's gradient is taken."""
 
     def accepts(step, fn):
         return np.isfinite(fn) and fn < f and fn <= f + ARMIJO_C * step * gd
@@ -247,18 +262,21 @@ def _line_search(objective: Objective, x: np.ndarray, f: float, direction: np.nd
             return None
         fn, gradient = objective(xn)
         if accepts(step, fn):
-            if bt == 0:
-                # the full step already satisfies the decrease rule: grow it
-                # while that stays true, to escape stagnation on over-short
-                # quasi-Newton directions
-                while step <= 2.0**MAX_EXPANSIONS:
-                    xe = x + 2.0 * step * direction
-                    fe, gradient_e = objective(xe)
-                    if not (accepts(2.0 * step, fe) and fe < fn):
-                        break
-                    step *= 2.0
-                    xn, fn, gradient = xe, fe, gradient_e
-            return xn, fn, gradient
+            taken = gradient()
+            gradient = None  # the trial's state is spent
+            if bt > 0 or np.dot(taken[0], direction) >= CURVATURE_C * gd:
+                return (xn, fn, *taken)
+            # the unit step is too short: grow it while the decrease rule
+            # holds, to escape stagnation on over-short quasi-Newton directions
+            while step <= 2.0**MAX_EXPANSIONS:
+                xe = x + 2.0 * step * direction
+                fe, gradient_e = objective(xe)
+                if not (accepts(2.0 * step, fe) and fe < fn):
+                    break
+                step *= 2.0
+                xn, fn, gradient = xe, fe, gradient_e
+            gradient_e = None  # free the rejected doubling first
+            return (xn, fn, *(taken if gradient is None else gradient()))
         gradient = None  # free the rejected trial before the next one
         step *= BACKTRACK_FACTOR
     return None
@@ -292,7 +310,8 @@ def lbfgs_minimize(
     cfg: OptimizerConfig,
     callback: Optional[ProgressCallback] = None,
 ) -> tuple[np.ndarray, OptimizerResult]:
-    """Two-loop-recursion L-BFGS with Armijo backtracking.
+    """Two-loop-recursion L-BFGS with an Armijo line search that doubles
+    a unit step only when the curvature condition says it is too short.
 
     ``objective(x)`` returns ``(f, gradient)`` with ``gradient`` a
     zero-argument callable that returns ``(g, D)``: the gradient and a
@@ -305,11 +324,14 @@ def lbfgs_minimize(
     unscaled ``-g`` either way.  :func:`optimize_decomposition` supplies
     the Gauss-Newton diagonal of the cost, which ignores the penalty;
     :func:`optimize_path_only` supplies none.  Line-search trials read only
-    ``f``, so ``gradient`` is called exactly once at ``x0`` and once at each
-    accepted point: ``iterations + 1`` times in all.  A trial's ``gradient``
-    is dropped once it is rejected or taken, so whatever state it holds is
-    freed: when ``objective`` is called, at most one earlier trial (the one
-    an expanding line search has accepted so far) is still alive.
+    ``f``; ``gradient`` is called at ``x0``, at a unit step that passes
+    Armijo (the curvature probe of :func:`_line_search`) and at each
+    accepted point, at most once per trial: ``iterations + 1`` times, plus
+    one for each probe that a doubled step supersedes.  ``n_gradients``
+    counts every call.  A trial's ``gradient`` is dropped once it is
+    rejected or taken, so whatever state it holds is freed: when
+    ``objective`` is called, at most one earlier trial (the one an expanding
+    line search has accepted so far) is still alive.
 
     Returns the final point and its trace, an :class:`OptimizerResult` with
     no decomposition.  Terminates when the gradient infinity norm drops to
@@ -323,18 +345,24 @@ def lbfgs_minimize(
     freed memory (:func:`_keep_freed_memory`).
     """
     _keep_freed_memory()
-    n_evals = 0
+    n_evals = n_gradients = 0
 
     def evaluate(x: np.ndarray):
         nonlocal n_evals
         n_evals += 1
-        return objective(x)
+        f, gradient = objective(x)
+
+        def counted():
+            nonlocal n_gradients
+            n_gradients += 1
+            return gradient()
+
+        return f, counted
 
     x = np.array(x0, dtype=float)
     f, gradient = evaluate(x)
     g, diagonal = gradient()
     gradient = None
-    n_gradients = 1
     if not (np.isfinite(f) and np.all(np.isfinite(g))):
         raise ValueError("objective is not finite at the initial point")
     costs = [float(f)]
@@ -365,11 +393,7 @@ def lbfgs_minimize(
         if hit is None:
             termination = "line-search-failure"
             break
-        xn, fn, gradient = hit
-        gn, diagonal = gradient()
-        n_gradients += 1
-        # the trial is spent: free its state before the next line search
-        hit = gradient = None
+        xn, fn, gn, diagonal = hit
         s = xn - x
         y = gn - g
         sy = float(np.dot(s, y))

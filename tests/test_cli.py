@@ -189,7 +189,18 @@ class TestDecompose:
         manifest = json.loads((tmp_path / "nf.decomp.manifest.json").read_text())
         assert manifest["final_relative_error"] <= 1e-10
 
-    def test_progress_prints_every_iteration(self, tmp_path, capsys):
+    def test_progress_prints_every_iteration(self, tmp_path, capsys, monkeypatch):
+        import spod.optimizer
+
+        results = []
+        lbfgs = spod.optimizer.lbfgs_minimize
+
+        def recorded(*args):
+            x, result = lbfgs(*args)
+            results.append(result)
+            return x, result
+
+        monkeypatch.setattr(spod.optimizer, "lbfgs_minimize", recorded)
         data = tmp_path / "b.spod"
         save_snapshots(burgers_analytic(BurgersParams(nx_intervals=60, nt_intervals=40)), data)
         out = tmp_path / "b.decomp"
@@ -200,8 +211,13 @@ class TestDecompose:
         lines = capsys.readouterr().err.splitlines()
         manifest = json.loads((tmp_path / "b.decomp.manifest.json").read_text())
         assert manifest["iterations"] > 0
-        assert manifest["n_gradient_evals"] == manifest["iterations"] + 1
+        # the manifest repeats the fit's counts: one gradient at the start,
+        # one per accepted point and one per superseded curvature probe
+        [result] = results
+        assert manifest["n_objective_evals"] == result.n_evals
+        assert manifest["n_gradient_evals"] == result.n_gradients
         assert manifest["n_objective_evals"] > manifest["n_gradient_evals"]
+        assert manifest["n_gradient_evals"] >= manifest["iterations"] + 1
         fields = [line.split() for line in lines]
         assert [f[0] for f in fields] == ["iter"] * len(lines)
         assert [int(f[1]) for f in fields] == list(range(manifest["iterations"] + 1))

@@ -18,6 +18,7 @@ from spod.cost_grad import (
 )
 from spod.generators import TravelingProfile, synthetic_traveling
 from spod.optimizer import (
+    ARMIJO_C,
     MAX_BACKTRACKS,
     VARIABLE_GROUPS,
     OptimizerConfig,
@@ -131,10 +132,18 @@ class TestPacking:
 
 def quadratic(A, b):
     """The objective ``x^T A x / 2 - b^T x`` with its deferred gradient and
-    no diagonal."""
+    no diagonal.
+
+    The value is taken in the centred form ``(x - x*)^T A (x - x*) / 2``,
+    which differs by a constant: near the optimum the plain form reads
+    rounding noise of a few ulps of its optimal value, so a search whose
+    gradient is still above a tight tolerance can see a better step read
+    higher and end there."""
+    xstar = np.linalg.solve(A, b)
 
     def objective(x):
-        return 0.5 * float(x @ A @ x) - float(b @ x), lambda: (A @ x - b, None)
+        e = x - xstar
+        return 0.5 * float(e @ A @ e), lambda: (A @ x - b, None)
 
     return objective
 
@@ -145,18 +154,38 @@ def rosenbrock(x):
     return f, lambda: (np.array([-2 * (1 - a) - 400 * a * (b - a * a), 200 * (b - a * a)]), None)
 
 
+def recording(objective):
+    """``objective`` wrapped to append ``(x, f)`` of every evaluation to
+    ``trials`` and the index of the trial of every gradient call to
+    ``taken``; returns ``(wrapped, trials, taken)``."""
+    trials, taken = [], []
+
+    def wrapped(x):
+        trial = len(trials)
+        f, gradient = objective(x)
+        trials.append((x.copy(), f))
+
+        def recorded_gradient():
+            taken.append(trial)
+            return gradient()
+
+        return f, recorded_gradient
+
+    return wrapped, trials, taken
+
+
 def well_conditioned_quadratic(rng):
     A = rng.standard_normal((10, 10))
     A = A @ A.T + 10 * np.eye(10)
-    # keep the optimal value small so the Armijo decreases stay above
-    # floating-point resolution all the way down to the tolerance
     b = 1e-2 * rng.standard_normal(10)
     return A, b
 
 
 class TestLbfgs:
-    def test_quadratic_matches_direct_solve(self, rng):
-        A, b = well_conditioned_quadratic(rng)
+    @pytest.mark.parametrize("seed", [None, *range(8)])
+    def test_quadratic_matches_direct_solve(self, rng, seed):
+        # seed None is the fixture's generator
+        A, b = well_conditioned_quadratic(rng if seed is None else np.random.default_rng(seed))
         cfg = OptimizerConfig(max_iters=50, grad_tol=1e-10)
         x, hist = lbfgs_minimize(quadratic(A, b), np.zeros(10), cfg)
         assert hist.termination == "converged"
@@ -170,30 +199,40 @@ class TestLbfgs:
         assert f < 1e-8
 
     @pytest.mark.parametrize("case", ["quadratic", "rosenbrock"])
-    def test_gradient_only_at_start_and_accepted_points(self, rng, case):
+    def test_gradient_protocol(self, monkeypatch, rng, case):
+        # a gradient is taken at x0, at a unit step that passed Armijo (the
+        # curvature probe) and at each accepted point, and at most once per
+        # trial; a probe that a doubled step supersedes is counted too
+        import spod.optimizer
+
         if case == "quadratic":
             objective, x0 = quadratic(*well_conditioned_quadratic(rng)), np.zeros(10)
         else:
             objective, x0 = rosenbrock, np.array([-1.2, 1.0])
-        evals = gradients = 0
+        recorded, trials, taken = recording(objective)
+        probes, accepted = set(), set()
+        line_search = spod.optimizer._line_search
 
-        def counted(x):
-            nonlocal evals
-            evals += 1
-            f, gradient = objective(x)
+        def spy(evaluate, x, f, direction, gd):
+            first = len(trials)
+            hit = line_search(evaluate, x, f, direction, gd)
+            if first < len(trials):
+                fu = trials[first][1]
+                if fu < f and fu <= f + ARMIJO_C * gd:
+                    probes.add(first)
+            if hit is not None:
+                accepted.update(
+                    i for i in range(first, len(trials)) if np.array_equal(trials[i][0], hit[0])
+                )
+            return hit
 
-            def counted_gradient():
-                nonlocal gradients
-                gradients += 1
-                return gradient()
-
-            return f, counted_gradient
-
-        _, hist = lbfgs_minimize(counted, x0, OptimizerConfig(max_iters=500, grad_tol=1e-10))
+        monkeypatch.setattr(spod.optimizer, "_line_search", spy)
+        _, hist = lbfgs_minimize(recorded, x0, OptimizerConfig(max_iters=500, grad_tol=1e-10))
         assert hist.termination == "converged"
-        assert gradients == hist.n_gradients == hist.iterations + 1
-        # every expansion or backtrack is a trial whose gradient is never taken
-        assert evals == hist.n_evals > gradients
+        assert len(accepted) == hist.iterations
+        assert sorted(taken) == sorted({0} | probes | accepted)
+        assert hist.n_gradients == len(taken) == hist.iterations + 1 + len(probes - accepted)
+        assert hist.n_evals == len(trials)
 
     @pytest.mark.parametrize("case", ["quadratic", "rosenbrock"])
     def test_spent_trials_are_freed(self, rng, case):
@@ -342,6 +381,57 @@ class TestDiagonalScaling:
         assert all(d.shape == pack(d0).shape and np.all(d > 0) for d in diagonals)
 
 
+class TestCurvatureCondition:
+    def test_newton_unit_step_costs_one_evaluation(self):
+        # with the exact diagonal every direction after the first is the
+        # Newton step: its unit step meets the curvature condition, so each
+        # of those line searches makes one evaluation and takes one gradient
+        objective, xstar = separable_quadratic(True)
+        recorded, trials, taken = recording(objective)
+        counts = []  # evaluations and gradients so far, at each iteration
+
+        def callback(k, f, gnorm):
+            counts.append((len(trials), len(taken)))
+
+        cfg = OptimizerConfig(max_iters=500, grad_tol=1e-6)
+        _, hist = lbfgs_minimize(recorded, np.zeros(xstar.size), cfg, callback)
+        assert hist.termination == "converged" and hist.iterations >= 2
+        assert np.diff(counts, axis=0)[1:].tolist() == [[1, 1]] * (hist.iterations - 1)
+        assert hist.n_gradients == hist.iterations + 1
+
+    def test_short_unit_step_is_doubled(self):
+        # on a flat quadratic the first steepest-descent unit step moves
+        # 1e-6 of the way: the probe fails the curvature condition, the step
+        # is doubled up to ~2^20, and the superseded probe is counted
+        eps = 1e-6
+        xstar = np.linspace(1.0, 2.0, 4)
+
+        def objective(x):
+            e = x - xstar
+            return 0.5 * eps * float(e @ e), lambda: (eps * e, None)
+
+        x, hist = lbfgs_minimize(objective, np.zeros(4), OptimizerConfig(max_iters=1))
+        assert hist.iterations == 1
+        # x0, the unit step's probe and the accepted doubled step
+        assert hist.n_gradients == 3
+        assert hist.n_evals > 3
+        assert np.max(np.abs(x - xstar)) < 0.1 * np.max(xstar)
+
+    def test_probe_gradient_is_kept_when_no_doubling_is_accepted(self):
+        # a slope of -1 up to a steep wall at 1.5: the unit step from 0 is too
+        # short by the curvature condition, its doubling hits the wall, and
+        # the unit step is accepted with the probe's gradient, not a new one
+        def objective(x):
+            wall = np.maximum(x - 1.5, 0.0)
+            return float(np.sum(100.0 * wall**2 - x)), lambda: (200.0 * wall - 1.0, None)
+
+        recorded, trials, taken = recording(objective)
+        x, hist = lbfgs_minimize(recorded, np.zeros(1), OptimizerConfig(max_iters=1))
+        assert [t[0].tolist() for t in trials] == [[0.0], [1.0], [2.0]]
+        assert taken == [0, 1] and hist.n_gradients == 2
+        assert x.tolist() == [1.0]
+
+
 def random_decomposition(rng, grid, tg, kinds=("nodal", "polynomial")):
     nt = tg.m + 1
     frames = []
@@ -474,11 +564,16 @@ class TestOptimizeDecomposition:
             Frame(PathRepr.nodal(f0.path.values + 0.31 * h), f0.modes, f0.coeffs),
             Frame(PathRepr.nodal(f1.path.values - 0.17 * h), f1.modes, f1.coeffs),
         )
-        cfg = OptimizerConfig(max_iters=30, grad_tol=1e-12)
+        # compare before the rounding floor of the cost, eps |z|^2, where the
+        # line search decides on last-ulp rounding and the path is known only
+        # to ~1e-8 h: 15 iterations stay six orders of magnitude above it
+        cfg = OptimizerConfig(max_iters=15, grad_tol=1e-12)
         res_a = optimize_decomposition(z, Decomposition(perturbed, dtrue.grid, dtrue.tgrid), cfg)
         res_b = optimize_decomposition(
             z, Decomposition(perturbed[::-1], dtrue.grid, dtrue.tgrid), cfg
         )
+        floor = np.finfo(float).eps * data_norm_sq(z)
+        assert min(res_a.cost_history[-1], res_b.cost_history[-1]) > 1e6 * floor
         na = min(len(res_a.cost_history), len(res_b.cost_history))
         assert np.allclose(res_a.cost_history[:na], res_b.cost_history[:na], rtol=0, atol=1e-12)
         for fa, fb in zip(res_a.decomposition.frames, res_b.decomposition.frames[::-1]):
