@@ -192,7 +192,7 @@ class SnapshotSet:
 
 
 def _format_row(values: np.ndarray) -> str:
-    return " ".join(map(_FMT.__mod__, values.tolist()))
+    return " ".join([_FMT] * values.size) % tuple(values.tolist())
 
 
 def _write_lines(destination: Union[PathLike, IO[str]], lines: Iterable[str]) -> None:

@@ -11,7 +11,7 @@ def burgers_data():
 
 @pytest.fixture(scope="session")
 def fhn_data():
-    # ~20 s once per session; shared by the generator checks and acceptance
+    # ~9 s once per session; shared by the generator checks and acceptance
     return fhn_simulate()
 
 

@@ -482,13 +482,14 @@ def test_outputs_identical_across_blas_thread_counts(tmp_path):
         "path-only": ["decompose", data, "--mode", "path-only", "--r", "3",
                       "--frames", "r=3,path=linear:0.185", "--iters", "30"],
         "pod": ["pod", data, "--r", "3"],
+        "generate": ["generate", "fhn", "--tfinal", "20", "--dt-int", "0.05"],
     }
     outputs = {}
     for threads in ("1", "2"):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src_dir, env.get("PYTHONPATH")]))
         for name, argv in commands.items():
-            out = tmp_path / f"{name}-{threads}.decomp"
+            out = tmp_path / f"{name}-{threads}.out"
             subprocess.run(
                 [sys.executable, "-m", "spod.cli", *map(str, argv), "-o", str(out)],
                 env=env, check=True, capture_output=True,

@@ -13,8 +13,10 @@ from spod.core import (
     load_snapshots,
     make_uniform_time_grid,
     relative_l2_error,
+    save_decomposition,
     save_snapshots,
 )
+from spod.cost_grad import Decomposition, Frame, PathRepr
 
 
 def make_set(values, length=1.0, tfinal=1.0):
@@ -90,6 +92,45 @@ class TestSnapshotIO:
         save_snapshots(z, buf)
         back = load_snapshots(io.StringIO(buf.getvalue()))
         assert np.array_equal(back.values, z.values)
+
+    def test_written_bytes_pinned(self):
+        # the exact %.17g text, so that a writer change cannot alter files unnoticed
+        vals = np.array([[-0.0, 5e-324, 1.7976931348623157e308], [0.1, -1e-300, 3.0]])
+        z = make_set(vals, length=0.1, tfinal=3.0)
+        buf = io.StringIO()
+        save_snapshots(z, buf)
+        assert buf.getvalue() == (
+            "# spod-v1\n"
+            "nt 2 nx 3 length 0.10000000000000001 tfinal 3\n"
+            "-0 4.9406564584124654e-324 1.7976931348623157e+308\n"
+            "0.10000000000000001 -1e-300 3\n"
+        )
+        frames = (
+            Frame(PathRepr.nodal([-1e-300, 0.1]), vals[:1], np.array([[3.0], [5e-324]])),
+            Frame(PathRepr.polynomial([-0.0]), vals[1:], np.array([[-1e-300], [0.1]])),
+        )
+        buf = io.StringIO()
+        save_decomposition(Decomposition(frames, z.grid, z.tgrid), buf)
+        assert buf.getvalue() == (
+            "# spod-decomp-v1\n"
+            "nframes=2 nt=2 nx=3 length=0.10000000000000001 tfinal=3\n"
+            "[frame]\n"
+            "path_kind=nodal\n"
+            "path=-1e-300 0.10000000000000001\n"
+            "modes=1 3\n"
+            "-0 4.9406564584124654e-324 1.7976931348623157e+308\n"
+            "coeffs=2 1\n"
+            "3\n"
+            "4.9406564584124654e-324\n"
+            "[frame]\n"
+            "path_kind=polynomial\n"
+            "path=-0\n"
+            "modes=1 3\n"
+            "0.10000000000000001 -1e-300 3\n"
+            "coeffs=2 1\n"
+            "-1e-300\n"
+            "0.10000000000000001\n"
+        )
 
     def test_wrong_column_count_cites_row(self):
         text = "# spod-v1\nnt 4 nx 4 length 1 tfinal 1\n" + "\n".join(

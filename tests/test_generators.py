@@ -8,8 +8,9 @@ from spod.generators import (
     FhnParams,
     IntegratorBlowupError,
     TravelingProfile,
-    _D2_OFFSETS,
     _D2_STENCIL,
+    _default_fhn_initial,
+    _periodic_laplacian,
     burgers_analytic,
     burgers_value,
     fhn_simulate,
@@ -107,8 +108,8 @@ class TestFhn:
         z = fhn_simulate(p, u0=np.zeros(p.n), v0=np.zeros(p.n))
         assert np.all(z.values == 0.0)
 
-    def test_bitwise_equal_to_roll_stencil(self):
-        # the padded-slice Laplacian against the np.roll right-hand side
+    def test_bitwise_equal_to_wrap_padded_convolution(self):
+        # an RK4 loop whose Laplacian convolves the np.pad wrap-padded row
         p = FhnParams(tfinal=4.0, length=50.0)
         x = np.arange(p.n) * p.h
         u = 0.5 * (1.0 + np.sin(np.pi * x / 50.0))
@@ -116,10 +117,7 @@ class TestFhn:
         stencil = _D2_STENCIL / (p.h * p.h)
 
         def rhs(u, v):
-            lap = stencil[3] * u
-            for c, off in zip(stencil, _D2_OFFSETS):
-                if off != 0:
-                    lap += c * np.roll(u, -off)
+            lap = np.convolve(np.pad(u, 3, mode="wrap"), stencil, "valid")
             du = p.nu * lap - v + u * (1.0 - u) * (u - p.a)
             return du, p.eps * (p.b * u - v)
 
@@ -135,6 +133,18 @@ class TestFhn:
                 v = v + (dt / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
             rows.append(u)
         assert fhn_simulate(p).values.tobytes() == np.array(rows).tobytes()
+
+    @pytest.mark.parametrize("h", [0.5, 1.0])
+    def test_laplacian_matches_roll_sum(self, h, rng):
+        # the convolution against sum_i c_i u_{k+o_i} from np.roll, to rounding
+        stencil = _D2_STENCIL / (h * h)
+        offsets = range(-3, 4)
+        x = np.arange(round(FhnParams().length / h)) * h
+        rows = [*rng.standard_normal((3, x.size)), _default_fhn_initial(x)[0]]
+        for u in rows:
+            terms = np.array([c * np.roll(u, -o) for c, o in zip(stencil, offsets)])
+            dev = np.abs(_periodic_laplacian(u, stencil) - terms.sum(axis=0))
+            assert np.all(dev <= 8 * np.finfo(float).eps * np.abs(terms).sum(axis=0))
 
     def test_step_doubling_convergence(self):
         base = FhnParams(tfinal=120.0)
