@@ -197,21 +197,6 @@ def _mode_rolls(modes: np.ndarray) -> np.ndarray:
     return np.stack(periodic_neighbours(modes, BAND_OFFSETS), axis=1)
 
 
-def _band_sum_rows(bands: np.ndarray, A: np.ndarray, sign: int) -> np.ndarray:
-    """``sum_d bands[k, d] A[k, (l - sign delta_d) mod n]`` at ``[k, l]``,
-    summed over the bands in order."""
-    out = np.zeros_like(A)
-    offsets = [-sign * dlt for dlt in BAND_OFFSETS]
-    for b, neighbour in zip(bands.T, periodic_neighbours(A, offsets)):
-        out += b[:, None] * neighbour
-    return out
-
-
-def _apply_bands_rows(bands: np.ndarray, qs: np.ndarray, A: np.ndarray) -> np.ndarray:
-    """Row-wise products ``F(p_k) A[k]`` for a time-varying band family."""
-    return roll_rows(_band_sum_rows(bands, A, -1), qs)
-
-
 # per-row data energy of each snapshot set; weak keys, so no snapshot set is
 # kept alive by it, and one O(nt) array per set, never its data rows
 _DATA_ENERGY: "weakref.WeakKeyDictionary[SnapshotSet, np.ndarray]" = weakref.WeakKeyDictionary()
@@ -232,17 +217,20 @@ def _data_energy(z: SnapshotSet) -> np.ndarray:
 class _Workspace:
     """The state of one evaluation point, shared by its value and its gradient.
 
-    Built once per point ``(z, d)``, for both Gram families: each frame's
-    whole-cell offsets and fractional parts, its rolled modes and the data
-    rows rotated into its alignment, and for every ordered pair of frames
-    ``(a, b)`` the offset and fractional part of the relative shift
-    ``p_a - p_b`` with frame ``b``'s ``coeffs @ modes`` rows rotated by that
-    offset.  The bands and products of a family (``_band_F`` for the value,
-    ``_band_G`` for the path gradient) and the value are built when first
-    asked for and kept, so a gradient taken after the value at the same
-    point adds only the G family and the mode rows.  The zero-shift Grams
-    come from the per-grid cache of ``shift_fem``, the data energy from the
-    per-snapshot-set cache above.
+    Built once per point ``(z, d)``: per frame ``a`` its modes rolled by each
+    band offset, one ``(4 r, n)`` matrix, and its sources, the rows its
+    shifted modes meet, each rotated into the frame's alignment and paired
+    with the fractional parts of the shift between them: first the data
+    rows (shift ``p_a``), then each partner ``b``'s ``coeffs @ modes`` rows
+    (shift ``p_a - p_b``).  Each source meets the rolled modes in one row
+    product, ``(nt, r, 4)``, shared by both Gram families; a family
+    (``_band_F`` for the value, ``_band_G`` for the path gradient) contracts
+    it with the family's bands.  Bands, products, row products, the mass
+    Grams ``Phi F(0) Phi^T`` and the value are built once, when first asked
+    for, so a gradient after the value at the same point adds only the G
+    family (bands, same-frame Grams, contractions) and the mode rows.  The
+    zero-shift Grams come from the per-grid cache of ``shift_fem``, the data
+    energy from the per-snapshot-set cache above.
     """
 
     def __init__(self, z: SnapshotSet, d: Decomposition):
@@ -253,35 +241,44 @@ class _Workspace:
         self.h = grid.h
         self.times = d.tgrid.times
         self.w = d.tgrid.weights
-        self.Z = z.values
         self.F0, self.G0 = zero_shift_grams(grid)
         pvals = [path_values(f.path, self.times) for f in d.frames]
-        self.qs, self.fracs = zip(*(decompose_shift(pv, grid) for pv in pvals))
-        self.rolls = [_mode_rolls(f.modes) for f in d.frames]
-        # data rows aligned with each frame's whole-cell offset
-        self.Zrot = [roll_rows(self.Z, -q) for q in self.qs]
-        self.cross = {}
+        # row 4 i + d holds phi_i[(l + delta_d) % n]
+        self.rolls = [_mode_rolls(f.modes).reshape(4 * f.r, grid.n) for f in d.frames]
+        self.sources = []
         for a, pa in enumerate(pvals):
-            for b, pb in enumerate(pvals):
-                if a != b:
-                    q, fr = decompose_shift(pa - pb, grid)
-                    self.cross[a, b] = (q, fr, roll_rows(self.U[b], -q))
+            partners = [(pa - pb, self.U[b]) for b, pb in enumerate(pvals) if b != a]
+            self.sources.append([])
+            for p, rows in [(pa, z.values), *partners]:
+                q, frac = decompose_shift(p, grid)
+                self.sources[a].append((frac, roll_rows(rows, -q)))
         self._bands = {}
         self._products = {}
 
     @functools.cached_property
     def U(self) -> list[np.ndarray]:
-        """Each frame's ``coeffs @ modes`` rows; a single-frame value never reads them."""
+        """Each frame's ``coeffs @ modes`` rows; only multi-frame points read them."""
         return [f.coeffs @ f.modes for f in self.d.frames]
 
     def bands(self, band):
-        """The family's bands per frame and per ordered frame pair, built once."""
+        """The family's bands per frame and source, built once."""
         if band not in self._bands:
-            self._bands[band] = (
-                [band(fr, self.h) for fr in self.fracs],
-                {ab: band(fr, self.h) for ab, (_, fr, _) in self.cross.items()},
-            )
+            self._bands[band] = [[band(fr, self.h) for fr, _ in src] for src in self.sources]
         return self._bands[band]
+
+    @functools.cached_property
+    def rows(self):
+        """Per frame and source, ``[k, i, d] = x_k . phi_i[. + delta_d]``."""
+        nt = self.times.size
+        return [
+            [(x @ rolls.T).reshape(nt, -1, 4) for _, x in src]
+            for src, rolls in zip(self.sources, self.rolls)
+        ]
+
+    @functools.cached_property
+    def mass_grams(self) -> list[np.ndarray]:
+        """Each frame's ``Phi F(0) Phi^T``, shared with the Gauss-Newton diagonal."""
+        return [f.modes @ apply_gram(self.F0, f.modes).T for f in self.d.frames]
 
     def products(self, band):
         """Per frame, for ``band = _band_F`` (``_band_G``): the data products
@@ -291,24 +288,15 @@ class _Workspace:
         return self._products[band]
 
     def _build_products(self, band):
-        gram0 = self.F0 if band is _band_F else self.G0
-        frame_bands, cross_bands = self.bands(band)
+        # same-frame Gram blocks are shift-independent
+        grams = self.mass_grams if band is _band_F else [
+            f.modes @ apply_gram(self.G0, f.modes).T for f in self.d.frames
+        ]
         DZ, R = [], []
-        for fi, f in enumerate(self.d.frames):
-            dz = np.empty((self.times.size, f.r))
-            # same-frame Gram blocks are shift-independent
-            rmat = f.coeffs @ (f.modes @ apply_gram(gram0, f.modes).T)
-            partners = [
-                (Urot, cross_bands[a, b]) for (a, b), (_, _, Urot) in self.cross.items() if a == fi
-            ]
-            # rows B(p_k) phi_i in the co-moving alignment: (m+1, 4) @ (4, n)
-            for i in range(f.r):
-                rolls = self.rolls[fi][i]
-                dz[:, i] = np.einsum("kl,kl->k", self.Zrot[fi], frame_bands[fi] @ rolls)
-                for Urot, bd in partners:
-                    rmat[:, i] += np.einsum("kl,kl->k", Urot, bd @ rolls)
+        for f, gram, bands, rows in zip(self.d.frames, grams, self.bands(band), self.rows):
+            dz, *partners = (np.einsum("kd,kid->ki", b, p) for b, p in zip(bands, rows))
             DZ.append(dz)
-            R.append(rmat)
+            R.append(sum(partners, f.coeffs @ gram))
         return DZ, R
 
     @functools.cached_property
@@ -331,19 +319,24 @@ class _Workspace:
         ]
 
     def mode_gradient(self, fi: int) -> np.ndarray:
-        """Gradient rows for frame ``fi``'s modes."""
-        d = self.d
-        f = d.frames[fi]
-        frame_bands, cross_bands = self.bands(_band_F)
-        row = apply_gram(self.F0, self.U[fi])
-        for fj in range(len(d.frames)):
-            if fj == fi:
-                continue
-            row += _apply_bands_rows(cross_bands[fj, fi], self.cross[fj, fi][0], self.U[fj])
-        # F(p_k)^T z_k from the data rows already in the frame's alignment:
-        # the same neighbours, with no roll back
-        row -= _band_sum_rows(frame_bands[fi], self.Zrot[fi], 1)
-        return (self.w[:, None] * f.coeffs).T @ row
+        """Gradient rows for frame ``fi``'s modes: with ``c = w a`` they are
+        ``c^T (F(0) u + sum_j F(p_j - p_i) u_j - F(p_i)^T z)``, row by row.
+
+        A transposed band family on rows ``x`` is ``sum_d shift_{delta_d}
+        ((c b_d)^T x)``: one ``(4 r, nt) @ (nt, n)`` product per source and
+        one gather.  The partners take this form as ``F(p_j - p_i) =
+        F(p_i - p_j)^T``; the same-frame term is ``F(0) c^T a Phi``.
+        """
+        f = self.d.frames[fi]
+        c = self.w[:, None] * f.coeffs
+        data, *partners = (
+            (c[:, :, None] * b[:, None, :]).reshape(len(c), -1).T @ x
+            for b, (_, x) in zip(self.bands(_band_F)[fi], self.sources[fi])
+        )
+        Y = sum(partners, -data).reshape(f.r, len(BAND_OFFSETS), -1)
+        cols = np.mod(np.subtract.outer(np.arange(Y.shape[-1]), BAND_OFFSETS).T, Y.shape[-1])
+        row = Y[:, np.arange(len(BAND_OFFSETS))[:, None], cols].sum(axis=1)
+        return row + apply_gram(self.F0, (c.T @ f.coeffs) @ f.modes)
 
 
 def _point_workspace(z: SnapshotSet, d: Decomposition, workspace) -> _Workspace:
@@ -386,9 +379,9 @@ def eval_cost_gradient(z: SnapshotSet, d: Decomposition, *, workspace=None) -> C
 
     Polynomial path gradients are the nodal gradients pulled back through
     the monomial basis (:func:`path_pullback`).  Given the ``workspace`` of
-    an earlier :func:`eval_cost` at the same point (see there), the value
-    and the F products come from it, and only the G products and the mode
-    rows are built; the result is bitwise the same.
+    an earlier :func:`eval_cost` at the same point (see there), the value,
+    the row products and the F products come from it, and only the G
+    products and the mode rows are built; the result is bitwise the same.
     """
     ws = _point_workspace(z, d, workspace)
     FZ, R = ws.products(_band_F)

@@ -66,7 +66,7 @@ from .cost_grad import (
     path_values,
     penalty_gradient,
 )
-from .shift_fem import BAND_OFFSETS, _band_F, apply_gram, decompose_shift, roll_rows
+from .shift_fem import BAND_OFFSETS, _band_F, decompose_shift, roll_rows
 
 __all__ = [
     "VARIABLE_GROUPS",
@@ -290,9 +290,11 @@ def _keep_freed_memory() -> None:
     whenever a few hundred KiB there are free, so every evaluation's
     temporaries page-fault in again.  How often depends on where unrelated
     long-lived objects happen to sit in the heap, so on the code layout
-    alone: one ``crossing`` round of ``benchmarks/`` made ~590 thousand minor
-    faults and 1.5 s of system time by default, and none with these settings.
-    Elsewhere a no-op.
+    alone.  The workspace's rotated rows are still above the default
+    threshold: one 300-iteration ``crossing`` fit of ``benchmarks/`` made
+    ~76 thousand minor faults and 0.07-0.12 s of system time by default
+    (0.53 s in all), and under a thousand faults with these settings (0.42 s;
+    2 cores).  Elsewhere a no-op.
     """
     import ctypes
 
@@ -424,8 +426,8 @@ def optimize_decomposition(
     assembly shared by value and gradient) and makes one
     :func:`~spod.cost_grad.eval_penalized_cost` call with it; its deferred
     gradient is one :func:`~spod.cost_grad.eval_cost_gradient` call on the
-    same workspace, which adds only the G products and the mode rows, plus,
-    with ``cfg.lam > 0``, one :func:`~spod.cost_grad.penalty_gradient` call
+    same workspace, which adds only the G contractions and the mode rows,
+    plus, with ``cfg.lam > 0``, one :func:`~spod.cost_grad.penalty_gradient` call
     (the closed-form subgradient).  The workspace lives as long as the
     trial's gradient closure, so a rejected trial frees it.  The values
     agree bitwise with those of the gradient calls, so the line search sees
@@ -457,30 +459,31 @@ def _gauss_newton_diagonal(ws: _Workspace, variables: Sequence[str]) -> np.ndarr
     """The diagonal of the cost's Gauss-Newton Hessian at ``ws``'s point,
     packed like :func:`pack` and floored at 1e-12 of its largest entry.
 
-    Per frame, with ``w`` the time weights, ``M = F(0)``, ``K`` the
-    stiffness Gram and ``u_k = (a Phi)_k`` the frame's rows:
+    Per frame, with ``w`` the time weights, ``a`` the coefficients, ``M =
+    F(0)``, ``K`` the stiffness Gram and ``u_k = (a Phi)_k`` the frame's
+    rows, all from ``r x r`` Grams of the modes:
 
-    * coefficient ``(k, i)``: ``w_k phi_i^T M phi_i``;
-    * path node ``k``: ``w_k u_k^T K u_k``, which is ``w_k ||d/dp T(p) u_k||^2``
+    * coefficient ``(k, i)``: ``w_k phi_i^T M phi_i``, from ``ws.mass_grams``;
+    * path node ``k``: ``w_k a_k^T (Phi K Phi^T) a_k = w_k ||d/dp T(p) u_k||^2``
       since the shift is exact in L2; a polynomial path takes ``(V^2)^T`` of
       it, ``V`` the monomial Vandermonde;
     * mode entry ``(i, l)``: ``M_ll sum_k w_k a_ki^2``.
 
-    The admissible-set penalty is ignored.  A point where every entry is
+    The admissible-set penalty is ignored; the floor also lifts path entries
+    that round below zero (constant modes).  A point where every entry is
     zero gets the all-ones diagonal, which is the scalar scaling.
     """
     d = ws.d
     mass = np.full(d.grid.n, ws.F0.band[BAND_OFFSETS.index(0)])
     blocks = []
-    for f, u in zip(d.frames, ws.U):
-        mode_energy = np.einsum("il,il->i", f.modes, apply_gram(ws.F0, f.modes))
-        # u_k^T K u_k is the sum of the squared periodic node differences over h
-        du = u[:, 1:] - u[:, :-1]
-        nodal = ws.w / d.grid.h * (np.einsum("kl,kl->k", du, du) + (u[:, 0] - u[:, -1]) ** 2)
+    for f, gram in zip(d.frames, ws.mass_grams):
+        # Phi K Phi^T from the periodic node differences of the modes
+        dphi = np.roll(f.modes, -1, axis=1) - f.modes
+        nodal = ws.w * np.einsum("ki,ki->k", f.coeffs @ (dphi @ dphi.T / d.grid.h), f.coeffs)
         if f.path.kind == "polynomial":
             nodal = (np.vander(ws.times, f.path.values.size, increasing=True) ** 2).T @ nodal
         amplitude = ws.w @ f.coeffs**2
-        blocks.append((np.outer(ws.w, mode_energy), nodal, np.outer(amplitude, mass)))
+        blocks.append((np.outer(ws.w, np.diagonal(gram)), nodal, np.outer(amplitude, mass)))
     D = _flatten(blocks, variables)
     top = D.max()
     return np.maximum(D, 1e-12 * top) if top > 0.0 else np.ones_like(D)

@@ -479,6 +479,8 @@ def test_outputs_identical_across_blas_thread_counts(tmp_path):
     src_dir = str(Path(spod.__file__).resolve().parents[1])
     commands = {
         "full": ["decompose", data, "--frames", "r=2,path=linear:0.185", "--iters", "300"],
+        "two-frame": ["decompose", data, "--frames", "r=1,path=linear:0.185",
+                      "--frames", "r=1,path=linear:0", "--iters", "100"],
         "path-only": ["decompose", data, "--mode", "path-only", "--r", "3",
                       "--frames", "r=3,path=linear:0.185", "--iters", "30"],
         "pod": ["pod", data, "--r", "3"],

@@ -17,7 +17,6 @@ from spod.cost_grad import (
     path_pullback,
     penalty_gradient,
     penalty_value,
-    _apply_bands_rows,
     _mode_rolls,
     _Workspace,
     reconstruct,
@@ -25,6 +24,7 @@ from spod.cost_grad import (
 from spod.generators import TravelingProfile, synthetic_traveling
 from spod.optimizer import _pullback_rows, pack, pack_gradient, unpack
 from spod.shift_fem import (
+    _SNAP_REL,
     BAND_OFFSETS,
     _band_F,
     _band_G,
@@ -35,7 +35,7 @@ from spod.shift_fem import (
     shift_field,
 )
 
-from oracles import eval_p1
+from oracles import eval_p1, gram_to_dense
 
 GRID = SpatialGrid(16, 1.0)
 TG = make_uniform_time_grid(8, 1.0)
@@ -508,26 +508,69 @@ class TestBandKernelsMatchRolls:
         out = _mode_rolls(modes)
         assert out.shape == expected.shape and out.tobytes() == expected.tobytes()
 
-    def _rolled_rows(self, rng, band, sign):
-        """Rows ``sum_d b_d[k] A[k]`` rolled by ``sign delta_d`` and then by
-        ``-sign q_k`` through ``np.roll``: ``F(p_k) A[k]`` for ``sign = -1``,
-        ``F(p_k)^T A[k]`` for ``sign = 1``."""
+    @pytest.mark.parametrize("band", [_band_F, _band_G])
+    def test_pullback_rows_match_rolled_transposes(self, rng, band):
+        # rows sum_d b_d[k] A[k] rolled by delta_d and then by -q_k through
+        # np.roll: F(p_k)^T A[k]
         A = rng.standard_normal((9, self.GRID.n))
         q, fr = decompose_shift(rng.uniform(-3.0, 3.0, 9), self.GRID)
         bands = band(fr, self.GRID.h)
         rolled = np.zeros_like(A)
         for dlt, b in zip(BAND_OFFSETS, bands.T):
-            rolled += b[:, None] * np.roll(A, sign * dlt, axis=1)
-        return A, q, bands, roll_rows(rolled, -sign * q)
-
-    @pytest.mark.parametrize("band", [_band_F, _band_G])
-    def test_apply_bands_rows(self, rng, band):
-        A, q, bands, expected = self._rolled_rows(rng, band, -1)
-        out = _apply_bands_rows(bands, q, A)
-        assert out.tobytes() == expected.tobytes()
-
-    @pytest.mark.parametrize("band", [_band_F, _band_G])
-    def test_pullback_rows_match_rolled_transposes(self, rng, band):
-        A, q, bands, expected = self._rolled_rows(rng, band, 1)
+            rolled += b[:, None] * np.roll(A, dlt, axis=1)
+        expected = roll_rows(rolled, -q)
         out = _pullback_rows(np.fft.rfft(A, axis=1), bands, q, self.GRID.n)
         assert np.max(np.abs(out - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+
+def awkward_shifts(rng, grid, size):
+    """Whole cells, shifts within ``_SNAP_REL`` of a cell boundary on either
+    side, and generic fractions, each also moved by a thousand domains."""
+    h, L = grid.h, grid.length
+    cells = h * rng.integers(-3 * grid.n, 3 * grid.n, size)
+    jitter = rng.choice([0.0, 0.3, -0.3, 0.9, -0.9], size) * _SNAP_REL * h
+    generic = rng.uniform(-3 * L, 3 * L, size)
+    shifts = np.where(rng.uniform(size=size) < 0.5, cells + jitter, generic)
+    return shifts + L * 1e3 * rng.choice([-1.0, 0.0, 1.0], size)
+
+
+class TestModeGradient:
+    GRID = SpatialGrid(11, 1.7)
+
+    def test_gram_of_negated_shift_is_the_transpose(self, rng):
+        # the mode gradient's partner terms use F(p_j - p_i) = F(p_i - p_j)^T
+        for p in awkward_shifts(rng, self.GRID, 400):
+            forward = gram_to_dense(gram_F(p, self.GRID))
+            backward = gram_to_dense(gram_F(-p, self.GRID))
+            assert np.max(np.abs(backward - forward.T)) <= 4 * np.finfo(float).eps * self.GRID.h
+
+    @pytest.mark.parametrize("nframes", [1, 2, 3])
+    def test_matches_dense_oracle(self, rng, nframes):
+        # gradient of 1/2 sum_k w_k |z_k - sum_f T(p_f) u_f|^2 in the Gram
+        # metric with respect to frame f's modes, from dense Grams:
+        # sum_k w_k a_{f,k} (sum_g F(p_g - p_f) u_{g,k} - F(p_f)^T z_k)
+        grid = self.GRID
+        tg = make_uniform_time_grid(6, 1.0)
+        nt = tg.m + 1
+        z = SnapshotSet(grid, tg, rng.standard_normal((nt, grid.n)))
+        frames = tuple(
+            Frame(
+                PathRepr.nodal(awkward_shifts(rng, grid, nt)),
+                rng.standard_normal((r, grid.n)),
+                rng.standard_normal((nt, r)),
+            )
+            for r in (2, 1, 3)[:nframes]
+        )
+        d = Decomposition(frames, grid, tg)
+        ws = _Workspace(z, d)
+        paths = [f.path.values for f in frames]
+        for fi, f in enumerate(frames):
+            row = np.zeros((nt, grid.n))
+            for k in range(nt):
+                row[k] = -gram_to_dense(gram_F(paths[fi][k], grid)).T @ z.values[k]
+                for g, pg in zip(frames, paths):
+                    shift = pg[k] - paths[fi][k]
+                    row[k] += gram_to_dense(gram_F(shift, grid)) @ (g.coeffs[k] @ g.modes)
+            expected = (tg.weights[:, None] * f.coeffs).T @ row
+            got = ws.mode_gradient(fi)
+            assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))

@@ -487,6 +487,24 @@ class TestGaussNewtonDiagonal:
         diagonal = _gauss_newton_diagonal(_Workspace(z, d), variables)
         assert np.allclose(diagonal, fd, rtol=1e-9, atol=0)
 
+    @pytest.mark.parametrize("kind", ["nodal", "polynomial"])
+    def test_constant_mode_path_block_is_floored(self, rng, kind):
+        # a frame of constant modes moves nothing: Phi K Phi^T vanishes up to
+        # rounding, and its quadratic form may round to either side of zero
+        grid = SpatialGrid(20, 1.3)
+        tg = make_uniform_time_grid(9, 0.8)
+        d = random_decomposition(rng, grid, tg, kinds=(kind, "nodal"))
+        x = 2 * np.pi * grid.nodes / grid.length
+        # one exactly constant row, one constant up to rounding
+        flat = np.stack([np.full(grid.n, 0.3), np.cos(x) ** 2 + np.sin(x) ** 2])
+        frame = Frame(d.frames[0].path, flat, rng.standard_normal((tg.m + 1, 2)))
+        d = Decomposition((frame, d.frames[1]), grid, tg)
+        z = SnapshotSet(grid, tg, rng.standard_normal((tg.m + 1, grid.n)))
+        diagonal = _gauss_newton_diagonal(_Workspace(z, d), VARIABLE_GROUPS)
+        assert np.all(np.isfinite(diagonal)) and np.all(diagonal > 0)
+        path = unpack(diagonal, d).frames[0].path.values
+        assert np.all(path == 1e-12 * diagonal.max())
+
     def test_zero_mode_frame_is_floored(self, rng):
         grid = SpatialGrid(16, 1.0)
         tg = make_uniform_time_grid(7, 1.0)
