@@ -29,7 +29,7 @@ from .shift_fem import (
     _band_G,
     apply_gram,
     decompose_shift,
-    periodic_neighbours,
+    periodic_windows,
     roll_rows,
     shift_rows,
     stiffness_gram,
@@ -192,11 +192,6 @@ def _check_same_grids(z: SnapshotSet, d: Decomposition) -> None:
         raise ValueError("snapshot data and decomposition use different time grids")
 
 
-def _mode_rolls(modes: np.ndarray) -> np.ndarray:
-    """Stack of rolled mode vectors, shape (r, 4, n): entry [i, d, l] = phi_i[(l + delta_d) % n]."""
-    return np.stack(periodic_neighbours(modes, BAND_OFFSETS), axis=1)
-
-
 # per-row data energy of each snapshot set; weak keys, so no snapshot set is
 # kept alive by it, and one O(nt) array per set, never its data rows
 _DATA_ENERGY: "weakref.WeakKeyDictionary[SnapshotSet, np.ndarray]" = weakref.WeakKeyDictionary()
@@ -218,17 +213,17 @@ class _Workspace:
     """The state of one evaluation point, shared by its value and its gradient.
 
     Built once per point ``(z, d)``: per frame ``a`` its modes rolled by each
-    band offset, one ``(4 r, n)`` matrix, and its sources, the rows its
-    shifted modes meet, each rotated into the frame's alignment and paired
-    with the fractional parts of the shift between them: first the data
-    rows (shift ``p_a``), then each partner ``b``'s ``coeffs @ modes`` rows
-    (shift ``p_a - p_b``).  Each source meets the rolled modes in one row
-    product, ``(nt, r, 4)``, shared by both Gram families; a family
-    (``_band_F`` for the value, ``_band_G`` for the path gradient) contracts
-    it with the family's bands.  Bands, products, row products, the mass
-    Grams ``Phi F(0) Phi^T`` and the value are built once, when first asked
-    for, so a gradient after the value at the same point adds only the G
-    family (bands, same-frame Grams, contractions) and the mode rows.  The
+    band offset, one C-ordered ``(4 r, n)`` matrix of periodic windows, and
+    its sources, the rows its shifted modes meet, each rotated into the
+    frame's alignment and paired with the fractional parts of the shift
+    between them: first the data rows (shift ``p_a``), then each partner
+    ``b``'s ``coeffs @ modes`` rows (shift ``p_a - p_b``).  Each source meets
+    the rolled modes in one row product, ``(nt, r, 4)``, shared by both Gram
+    families; a family contracts it with its bands.  Everything else is a
+    cached property, built when first read: the row products, the mass Grams
+    ``Phi F(0) Phi^T``, the families ``F`` (for the value) and ``G`` (for the
+    path gradient), each ``(bands, DZ, R)``, and the value.  So a gradient
+    after the value at the same point adds only ``G`` and the mode rows.  The
     zero-shift Grams come from the per-grid cache of ``shift_fem``, the data
     energy from the per-snapshot-set cache above.
     """
@@ -243,8 +238,8 @@ class _Workspace:
         self.w = d.tgrid.weights
         self.F0, self.G0 = zero_shift_grams(grid)
         pvals = [path_values(f.path, self.times) for f in d.frames]
-        # row 4 i + d holds phi_i[(l + delta_d) % n]
-        self.rolls = [_mode_rolls(f.modes).reshape(4 * f.r, grid.n) for f in d.frames]
+        # row 4 i + d holds phi_i[(l + delta_d) % n]; the reshape copies, C-ordered
+        self.rolls = [periodic_windows(f.modes, -2, 1).reshape(4 * f.r, grid.n) for f in d.frames]
         self.sources = []
         for a, pa in enumerate(pvals):
             partners = [(pa - pb, self.U[b]) for b, pb in enumerate(pvals) if b != a]
@@ -252,19 +247,11 @@ class _Workspace:
             for p, rows in [(pa, z.values), *partners]:
                 q, frac = decompose_shift(p, grid)
                 self.sources[a].append((frac, roll_rows(rows, -q)))
-        self._bands = {}
-        self._products = {}
 
     @functools.cached_property
     def U(self) -> list[np.ndarray]:
         """Each frame's ``coeffs @ modes`` rows; only multi-frame points read them."""
         return [f.coeffs @ f.modes for f in self.d.frames]
-
-    def bands(self, band):
-        """The family's bands per frame and source, built once."""
-        if band not in self._bands:
-            self._bands[band] = [[band(fr, self.h) for fr, _ in src] for src in self.sources]
-        return self._bands[band]
 
     @functools.cached_property
     def rows(self):
@@ -280,24 +267,27 @@ class _Workspace:
         """Each frame's ``Phi F(0) Phi^T``, shared with the Gauss-Newton diagonal."""
         return [f.modes @ apply_gram(self.F0, f.modes).T for f in self.d.frames]
 
-    def products(self, band):
-        """Per frame, for ``band = _band_F`` (``_band_G``): the data products
-        FZ (GZ) and the reconstruction products R (RN), built once."""
-        if band not in self._products:
-            self._products[band] = self._build_products(band)
-        return self._products[band]
+    @functools.cached_property
+    def F(self):
+        """The F family per frame: bands per source, data products FZ and
+        reconstruction products R."""
+        return self._family(_band_F, self.mass_grams)
 
-    def _build_products(self, band):
-        # same-frame Gram blocks are shift-independent
-        grams = self.mass_grams if band is _band_F else [
-            f.modes @ apply_gram(self.G0, f.modes).T for f in self.d.frames
-        ]
+    @functools.cached_property
+    def G(self):
+        """The G family per frame: bands per source, GZ and RN."""
+        grams = [f.modes @ apply_gram(self.G0, f.modes).T for f in self.d.frames]
+        return self._family(_band_G, grams)
+
+    def _family(self, band, grams):
+        """``(bands, DZ, R)`` of one family, from its same-frame Grams."""
+        bands = [[band(fr, self.h) for fr, _ in src] for src in self.sources]
         DZ, R = [], []
-        for f, gram, bands, rows in zip(self.d.frames, grams, self.bands(band), self.rows):
-            dz, *partners = (np.einsum("kd,kid->ki", b, p) for b, p in zip(bands, rows))
+        for f, gram, fbands, rows in zip(self.d.frames, grams, bands, self.rows):
+            dz, *partners = (np.einsum("kd,kid->ki", b, p) for b, p in zip(fbands, rows))
             DZ.append(dz)
             R.append(sum(partners, f.coeffs @ gram))
-        return DZ, R
+        return bands, DZ, R
 
     @functools.cached_property
     def value(self) -> float:
@@ -306,13 +296,14 @@ class _Workspace:
         # accumulate all weighted addends exactly (the data-energy terms and
         # the frame terms cancel addend-by-addend for exact reconstructions)
         addends = [self.w * _data_energy(self.z)]
-        for f, fz, rmat in zip(self.d.frames, *self.products(_band_F)):
+        _, FZ, R = self.F
+        for f, fz, rmat in zip(self.d.frames, FZ, R):
             addends.append(self.w * np.einsum("ki,ki->k", f.coeffs, rmat - 2.0 * fz))
         return 0.5 * math.fsum(np.concatenate(addends).tolist())
 
     def path_gradients(self) -> list[np.ndarray]:
         """Nodal path gradient of each frame, from the G-family products alone."""
-        GZ, RN = self.products(_band_G)
+        _, GZ, RN = self.G
         return [
             self.w * (f.coeffs * (rn - gz)).sum(axis=1)
             for f, gz, rn in zip(self.d.frames, GZ, RN)
@@ -323,19 +314,22 @@ class _Workspace:
         ``c^T (F(0) u + sum_j F(p_j - p_i) u_j - F(p_i)^T z)``, row by row.
 
         A transposed band family on rows ``x`` is ``sum_d shift_{delta_d}
-        ((c b_d)^T x)``: one ``(4 r, nt) @ (nt, n)`` product per source and
-        one gather.  The partners take this form as ``F(p_j - p_i) =
-        F(p_i - p_j)^T``; the same-frame term is ``F(0) c^T a Phi``.
+        ((c b_d)^T x)``: one ``(4 r, nt) @ (nt, n)`` product per source, and
+        band ``d``'s rows read at offset ``-delta_d`` from the periodic
+        windows of offsets ``-1..2``.  The partners take this form as
+        ``F(p_j - p_i) = F(p_i - p_j)^T``; the same-frame term is ``F(0) c^T
+        a Phi``.
         """
         f = self.d.frames[fi]
         c = self.w[:, None] * f.coeffs
         data, *partners = (
             (c[:, :, None] * b[:, None, :]).reshape(len(c), -1).T @ x
-            for b, (_, x) in zip(self.bands(_band_F)[fi], self.sources[fi])
+            for b, (_, x) in zip(self.F[0][fi], self.sources[fi])
         )
         Y = sum(partners, -data).reshape(f.r, len(BAND_OFFSETS), -1)
-        cols = np.mod(np.subtract.outer(np.arange(Y.shape[-1]), BAND_OFFSETS).T, Y.shape[-1])
-        row = Y[:, np.arange(len(BAND_OFFSETS))[:, None], cols].sum(axis=1)
+        # band d at offset -delta_d is window 1 - delta_d
+        d = np.arange(len(BAND_OFFSETS))
+        row = periodic_windows(Y, -1, 2)[:, d, 1 - np.array(BAND_OFFSETS)].sum(axis=1)
         return row + apply_gram(self.F0, (c.T @ f.coeffs) @ f.modes)
 
 
@@ -384,7 +378,7 @@ def eval_cost_gradient(z: SnapshotSet, d: Decomposition, *, workspace=None) -> C
     products and the mode rows are built; the result is bitwise the same.
     """
     ws = _point_workspace(z, d, workspace)
-    FZ, R = ws.products(_band_F)
+    _, FZ, R = ws.F
     value = ws.value
     path_grads = ws.path_gradients()
     g_coeffs, g_paths, g_modes = [], [], []

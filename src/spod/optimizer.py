@@ -66,7 +66,7 @@ from .cost_grad import (
     path_values,
     penalty_gradient,
 )
-from .shift_fem import BAND_OFFSETS, _band_F, decompose_shift, roll_rows
+from .shift_fem import BAND_OFFSETS, _band_F, decompose_shift, periodic_windows, roll_rows
 
 __all__ = [
     "VARIABLE_GROUPS",
@@ -478,7 +478,8 @@ def _gauss_newton_diagonal(ws: _Workspace, variables: Sequence[str]) -> np.ndarr
     blocks = []
     for f, gram in zip(d.frames, ws.mass_grams):
         # Phi K Phi^T from the periodic node differences of the modes
-        dphi = np.roll(f.modes, -1, axis=1) - f.modes
+        W = periodic_windows(f.modes, 0, 1)
+        dphi = W[:, 1] - W[:, 0]
         nodal = ws.w * np.einsum("ki,ki->k", f.coeffs @ (dphi @ dphi.T / d.grid.h), f.coeffs)
         if f.path.kind == "polynomial":
             nodal = (np.vander(ws.times, f.path.values.size, increasing=True) ** 2).T @ nodal
@@ -502,7 +503,7 @@ def _pullback_rows(spectra: np.ndarray, bands: np.ndarray, q: np.ndarray, n: int
     product = bands @ np.exp(-2j * np.pi / n * np.outer(BAND_OFFSETS, j))
     product *= spectra
     rows = np.fft.irfft(product, n, axis=1)
-    del product  # freed before the roll's doubled copy of the rows
+    del product  # freed before the roll's padded copy of the rows
     return roll_rows(rows, -q)
 
 

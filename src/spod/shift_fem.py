@@ -32,7 +32,7 @@ __all__ = [
     "gram_G",
     "zero_shift_grams",
     "stiffness_gram",
-    "periodic_neighbours",
+    "periodic_windows",
     "apply_gram",
     "roll_rows",
     "shift_rows",
@@ -142,25 +142,23 @@ def stiffness_gram(grid: SpatialGrid) -> ShiftGram:
     return ShiftGram(0, 0.0, band, grid.n, h)
 
 
-def periodic_neighbours(v: np.ndarray, offsets) -> list[np.ndarray]:
-    """Periodic neighbours of ``v`` along its last axis: view ``i`` holds
-    ``v[..., (k + offsets[i]) mod n]`` at ``[..., k]``.
+def periodic_windows(A: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Every periodic rotation of ``A``'s last axis from ``lo`` to ``hi``:
+    ``W[..., s, k] = A[..., (k + lo + s) mod n]`` for ``s = 0, ..., hi - lo``.
 
-    All views are slices of one copy of ``v`` padded once to ``n + span``
-    columns (``span`` the spread of the offsets); no view is copied.
+    ``W`` is one read-only strided view of a copy of ``A`` padded once to
+    ``n + hi - lo`` columns, for spans ``hi - lo <= n``: no index array is
+    built and no window is copied.
     """
-    n = v.shape[-1]
-    lo = min(offsets)
+    n = A.shape[-1]
+    # columns lo, lo + 1, ..., n + hi - 1, all modulo n
     start = lo % n
-    # columns start, start + 1, ..., start + n + span - 1, all modulo n
-    parts = [v[..., start:]]
-    rest = start + max(offsets) - lo
-    while rest > n:
-        parts.append(v)
-        rest -= n
-    parts.append(v[..., :rest])
-    padded = np.concatenate(parts, axis=-1)
-    return [padded[..., o - lo : o - lo + n] for o in offsets]
+    rest = start + hi - lo
+    padded = np.concatenate([A[..., start:], A[..., :rest], A[..., : max(rest - n, 0)]], axis=-1)
+    shape = A.shape[:-1] + (hi - lo + 1, n)
+    W = np.ndarray(shape, padded.dtype, padded, strides=padded.strides + padded.strides[-1:])
+    W.flags.writeable = False
+    return W
 
 
 def apply_gram(gram: ShiftGram, v: np.ndarray) -> np.ndarray:
@@ -168,31 +166,25 @@ def apply_gram(gram: ShiftGram, v: np.ndarray) -> np.ndarray:
 
     ``v`` may also be a 2-D array of row vectors; the product is applied to
     the last axis.  ``(A v)_k = sum_d band[d] v[(k - q + delta_d) mod n]``,
-    summed over the bands in order, each term a slice of one padded copy of
-    ``v`` (:func:`periodic_neighbours`).
+    summed over the bands in order; band ``d`` reads window ``d`` of
+    :func:`periodic_windows`.
     """
     v = np.asarray(v, dtype=float)
     if v.shape[-1] != gram.n:
         raise ValueError(f"vector length {v.shape[-1]} does not match n={gram.n}")
-    offsets = [delta - gram.offset_q for delta in BAND_OFFSETS]
+    W = periodic_windows(v, BAND_OFFSETS[0] - gram.offset_q, BAND_OFFSETS[-1] - gram.offset_q)
     out = np.zeros_like(v)
-    for b, neighbour in zip(gram.band, periodic_neighbours(v, offsets)):
-        out += b * neighbour
+    for d, b in enumerate(gram.band):
+        out += b * W[..., d, :]
     return out
 
 
 def roll_rows(A: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Rotate each row by its own whole number of cells:
-    ``out[k, l] = A[k, (l - q[k]) mod n]``.
-
-    Row ``k`` is a window into the row doubled end to end: all windows are
-    one strided view of the doubled rows, so no index array is built.
-    """
-    nt, n = A.shape
-    doubled = np.concatenate([A, A], axis=1)
-    row, col = doubled.strides
-    windows = np.ndarray((nt, n, n), doubled.dtype, doubled, strides=(row, col, col))
-    return windows[np.arange(nt), np.mod(-np.asarray(q), n)]
+    ``out[k, l] = A[k, (l - q[k]) mod n]``, row ``k`` one window of
+    :func:`periodic_windows`."""
+    n = A.shape[1]
+    return periodic_windows(A, 0, n - 1)[np.arange(len(A)), np.mod(-np.asarray(q), n)]
 
 
 def shift_rows(A: np.ndarray, p: np.ndarray, grid: SpatialGrid) -> np.ndarray:
@@ -203,7 +195,15 @@ def shift_rows(A: np.ndarray, p: np.ndarray, grid: SpatialGrid) -> np.ndarray:
     """
     q, frac = decompose_shift(p, grid)
     theta = (frac / grid.h)[:, None]
-    return (1.0 - theta) * roll_rows(A, q) + theta * roll_rows(A, q + 1)
+    # the rotation by q + 1 is window s, the one by q window s + 1; blended
+    # in place, so that no more than the padded copy and two gathers are held
+    rows, s = np.arange(len(A)), np.mod(-1 - q, grid.n)
+    W = periodic_windows(A, 0, grid.n)
+    out, blend = W[rows, s + 1], W[rows, s]
+    out *= 1.0 - theta
+    blend *= theta
+    out += blend
+    return out
 
 
 def shift_field(p: float, v: np.ndarray, grid: SpatialGrid) -> np.ndarray:

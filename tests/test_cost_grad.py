@@ -17,7 +17,6 @@ from spod.cost_grad import (
     path_pullback,
     penalty_gradient,
     penalty_value,
-    _mode_rolls,
     _Workspace,
     reconstruct,
 )
@@ -496,16 +495,24 @@ class TestPenalizedCost:
 
 
 class TestBandKernelsMatchRolls:
-    """The padded-slice band kernels equal their ``np.roll`` forms bitwise."""
+    """The band kernels on periodic windows equal their ``np.roll`` forms
+    bitwise, and the Fourier pullback matches them to rounding."""
 
     GRID = SpatialGrid(13, 1.0)
 
-    def test_mode_rolls(self, rng):
-        modes = rng.standard_normal((3, self.GRID.n))
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_mode_rolls(self, rng, order):
+        # the workspace's (4 r, n) matrix of rolled modes, C-ordered for
+        # modes in either memory order
+        z, d = random_instance(rng, self.GRID.n, 6, [3], ["nodal"])
+        f = d.frames[0]
+        modes = np.asarray(f.modes, order=order)
+        d = Decomposition((Frame(f.path, modes, f.coeffs),), d.grid, d.tgrid)
         expected = np.stack(
             [np.stack([np.roll(m, -delta) for delta in BAND_OFFSETS]) for m in modes]
-        )
-        out = _mode_rolls(modes)
+        ).reshape(-1, self.GRID.n)
+        out = _Workspace(z, d).rolls[0]
+        assert out.flags.c_contiguous
         assert out.shape == expected.shape and out.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("band", [_band_F, _band_G])

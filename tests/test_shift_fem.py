@@ -9,7 +9,7 @@ from spod.shift_fem import (
     decompose_shift,
     gram_F,
     gram_G,
-    periodic_neighbours,
+    periodic_windows,
     roll_rows,
     shift_field,
     shift_rows,
@@ -166,27 +166,40 @@ class TestZeroShiftGrams:
             assert cached.band.tobytes() == fresh.band.tobytes()
 
 
-class TestPeriodicNeighbours:
+class TestPeriodicWindows:
     @pytest.mark.parametrize("n", [3, 11])
-    @pytest.mark.parametrize("shape", [(), (5,)], ids=["1-D", "2-D"])
+    @pytest.mark.parametrize("shape", [(), (5,), (2, 4)], ids=["1-D", "2-D", "3-D"])
     @pytest.mark.parametrize("q", ["0", "1", "n-1", "n", "-3", "2n+5"])
     def test_matches_roll_both_directions(self, rng, n, shape, q):
         q = {"0": 0, "1": 1, "n-1": n - 1, "n": n, "-3": -3, "2n+5": 2 * n + 5}[q]
         v = rng.standard_normal(shape + (n,))
         for sign in (1, -1):
-            offsets = [sign * (delta - q) for delta in BAND_OFFSETS]
-            views = periodic_neighbours(v, offsets)
-            assert len(views) == len(offsets)
-            for o, view in zip(offsets, views):
-                assert view.shape == v.shape
-                assert view.tobytes() == np.roll(v, -o, axis=-1).tobytes()
+            offsets = sorted(sign * (delta - q) for delta in BAND_OFFSETS)
+            W = periodic_windows(v, offsets[0], offsets[-1])
+            assert W.shape == shape + (len(offsets), n)
+            for s, o in enumerate(offsets):
+                assert W[..., s, :].tobytes() == np.roll(v, -o, axis=-1).tobytes()
 
-    def test_views_share_one_padded_copy(self, rng):
-        v = rng.standard_normal((4, 11))
-        views = periodic_neighbours(v, (-3, -2, -1, 0, 1, 2, 3))
-        assert all(view.base is views[0].base for view in views)
-        assert views[0].base.shape == (4, 11 + 6)
-        assert not np.shares_memory(views[0], v)
+    @pytest.mark.parametrize("shape", [(), (5,), (2, 4)], ids=["1-D", "2-D", "3-D"])
+    @pytest.mark.parametrize("span", ["n-1", "n"])
+    @pytest.mark.parametrize("lo", [0, -3, 25])
+    def test_spans_up_to_n(self, rng, shape, span, lo):
+        n = 11
+        span = {"n-1": n - 1, "n": n}[span]
+        v = rng.standard_normal(shape + (n,))
+        W = periodic_windows(v, lo, lo + span)
+        assert W.shape == shape + (span + 1, n)
+        for s in range(span + 1):
+            assert W[..., s, :].tobytes() == np.roll(v, -(lo + s), axis=-1).tobytes()
+
+    @pytest.mark.parametrize("shape", [(11,), (4, 11), (2, 3, 11)], ids=["1-D", "2-D", "3-D"])
+    def test_windows_share_one_padded_copy(self, rng, shape):
+        v = rng.standard_normal(shape)
+        W = periodic_windows(v, -3, 3)
+        assert W.base.shape == shape[:-1] + (11 + 6,) and W.base.base is None
+        assert all(np.shares_memory(W[..., 0, :], W[..., s, :]) for s in range(1, 7))
+        assert not np.shares_memory(W, v)
+        assert not W.flags.writeable
 
 
 class TestShiftField:
@@ -260,6 +273,16 @@ class TestShiftRows:
         A = rng.standard_normal((5, self.GRID.n))
         q = np.array([0, 1, 5, -3, 17])
         assert np.array_equal(shift_rows(A, q * self.GRID.h, self.GRID), roll_rows(A, q))
+
+    def test_bitwise_equal_to_two_row_rotations(self, rng):
+        # the blend of the rotations by q and q + 1, each its own roll_rows
+        grid = self.GRID
+        p = np.concatenate([rng.uniform(-3.0, 3.0, 40), grid.h * np.arange(-3, 2 * grid.n)])
+        A = rng.standard_normal((p.size, grid.n))
+        q, frac = decompose_shift(p, grid)
+        theta = (frac / grid.h)[:, None]
+        expected = (1.0 - theta) * roll_rows(A, q) + theta * roll_rows(A, q + 1)
+        assert shift_rows(A, p, grid).tobytes() == expected.tobytes()
 
 
 def _per_row_shift_field_reference(profiles, grid, tgrid):
