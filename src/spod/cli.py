@@ -6,8 +6,9 @@ them (atomically) echoing the full configuration; re-running with the echoed
 configuration reproduces the data outputs byte for byte.
 
 Exit codes: 0 success, 1 numerical failure (a blown-up integration, or a fit
-that did not converge with ``--require-converged``), 2 usage error, 3 I/O or
-parse error.
+that ended at ``max-iters`` or ``line-search-failure`` with
+``--require-converged``, which accepts ``converged`` and ``stalled``), 2 usage
+error, 3 I/O or parse error.
 """
 
 from __future__ import annotations
@@ -233,7 +234,7 @@ def _cmd_decompose(args) -> int:
         d0 = _initial_decomposition(z, args.frames)
         result = optimize_decomposition(z, d0, cfg, callback=progress)
 
-    if args.require_converged and result.termination != "converged":
+    if args.require_converged and result.termination not in ("converged", "stalled"):
         print(f"error: optimizer terminated with {result.termination}", file=sys.stderr)
         return NUMERICAL_EXIT
 

@@ -37,6 +37,14 @@ Math. Prog. 1989; Nocedal & Wright, section 7.2), or from the scalar
 Gauss-Newton diagonal of the cost, closed form and blind to the penalty
 (:func:`_gauss_newton_diagonal`); the path-only fit supplies none.
 
+A fit ends ``converged`` once the gradient infinity norm reaches
+``grad_tol``; ``stalled`` once the last ``STALL_WINDOW = 50`` iterations
+lowered the cost by at most ``STALL_RTOL = 1e-6`` relative,
+``f[k-50] - f[k] <= 1e-6 |f[k]|`` (a relative test, so it scales with the
+cost where ``grad_tol`` does not); ``max-iters`` after ``max_iters``
+accepted steps; and ``line-search-failure`` when no step lowers the cost.
+The first three are tested in that order before each step.
+
 Everything is deterministic: no randomized initialization anywhere.
 """
 
@@ -92,6 +100,11 @@ CURVATURE_C = 0.9
 BACKTRACK_FACTOR = 0.5
 MAX_BACKTRACKS = 60
 MAX_EXPANSIONS = 30
+# a fit has stalled once its last STALL_WINDOW iterations lowered the cost by
+# at most STALL_RTOL of it (a windowed form of the relative-decrease test of
+# Gill, Murray & Wright, Practical Optimization, section 8.2.3)
+STALL_WINDOW = 50
+STALL_RTOL = 1e-6
 
 ProgressCallback = Callable[[int, float, float], None]
 # a point -> its value and a deferred (gradient, Hessian diagonal or None)
@@ -138,7 +151,9 @@ class OptimizerResult:
     """Best-found decomposition with the monotone cost trace.
 
     :func:`lbfgs_minimize` leaves ``decomposition`` as ``None``; the drivers
-    fill it in from the final point.  ``n_evals`` counts objective (value)
+    fill it in from the final point.  ``termination`` is ``converged``,
+    ``stalled``, ``max-iters`` or ``line-search-failure`` (see
+    :func:`lbfgs_minimize`).  ``n_evals`` counts objective (value)
     evaluations, ``n_gradients`` every gradient taken of them: one at the
     start, one per accepted point, and one per curvature probe that a doubled
     step superseded.
@@ -336,15 +351,21 @@ def lbfgs_minimize(
     line search has accepted so far) is still alive.
 
     Returns the final point and its trace, an :class:`OptimizerResult` with
-    no decomposition.  Terminates when the gradient infinity norm drops to
-    ``grad_tol``, after ``max_iters`` accepted steps, or when a line search
-    fails: 60 backtracks in a row, or a step that no longer moves ``x``
-    (retried once from a cleared memory before giving up).  A step is
-    accepted only if it lowers the cost as well as meeting the Armijo rule,
-    so the cost trace is strictly decreasing, and once the Armijo decrease
-    rounds away against the cost the search ends instead of taking steps
-    that leave the cost unchanged.  It first sets the allocator to keep
-    freed memory (:func:`_keep_freed_memory`).
+    no decomposition.  Before each step it tests, in this order: the
+    gradient infinity norm has dropped to ``grad_tol`` (``converged``); at
+    an iteration ``k >= STALL_WINDOW`` the last ``STALL_WINDOW`` iterations
+    lowered the cost by at most ``STALL_RTOL`` of it,
+    ``f[k - STALL_WINDOW] - f[k] <= STALL_RTOL |f[k]|`` (``stalled``, so a
+    fit of fewer than ``STALL_WINDOW`` iterations never stalls);
+    ``max_iters`` accepted steps were taken (``max-iters``).  It also ends
+    when a line search fails (``line-search-failure``): 60 backtracks in a
+    row, or a step that no longer moves ``x`` (retried once from a cleared
+    memory before giving up).  A step is accepted only if it lowers the cost
+    as well as meeting the Armijo rule, so the cost trace is strictly
+    decreasing, and once the Armijo decrease rounds away against the cost
+    the search ends instead of taking steps that leave the cost unchanged.
+    It first sets the allocator to keep freed memory
+    (:func:`_keep_freed_memory`).
     """
     _keep_freed_memory()
     n_evals = n_gradients = 0
@@ -376,6 +397,12 @@ def lbfgs_minimize(
     while True:
         if gnorms[-1] <= cfg.grad_tol:
             termination = "converged"
+            break
+        if (
+            iterations >= STALL_WINDOW
+            and costs[-1 - STALL_WINDOW] - costs[-1] <= STALL_RTOL * abs(costs[-1])
+        ):
+            termination = "stalled"
             break
         if iterations == cfg.max_iters:
             termination = "max-iters"

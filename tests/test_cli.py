@@ -243,6 +243,21 @@ class TestDecompose:
         )
         assert code == 1
 
+    def test_require_converged_accepts_a_stalled_fit(self, tmp_path):
+        # a cost that stops falling ends the fit "stalled" long before its
+        # --grad-tol or --iters; --require-converged takes that as an answer
+        src = tmp_path / "b.spod"
+        assert main(["generate", "burgers", "--re", "500", "--nx", "20", "--nt", "10",
+                     "-o", str(src)]) == 0
+        out = tmp_path / "stalled.decomp"
+        code = main(["decompose", str(src), "--frames", "r=2,path=linear:0.185",
+                     "--iters", "2000", "--grad-tol", "1e-14", "--require-converged",
+                     "-o", str(out)])
+        assert code == 0
+        manifest = json.loads((tmp_path / "stalled.decomp.manifest.json").read_text())
+        assert manifest["termination"] == "stalled"
+        assert manifest["iterations"] < 2000
+
     def test_oversized_rank_is_usage_error(self, tmp_path, exact_fixture_file):
         src, _ = exact_fixture_file
         code = main(

@@ -20,6 +20,8 @@ from spod.generators import TravelingProfile, synthetic_traveling
 from spod.optimizer import (
     ARMIJO_C,
     MAX_BACKTRACKS,
+    STALL_RTOL,
+    STALL_WINDOW,
     VARIABLE_GROUPS,
     OptimizerConfig,
     _gauss_newton_diagonal,
@@ -322,15 +324,15 @@ class TestLbfgs:
         assert calls.count("allocator") == 1
 
 
-def separable_quadratic(with_diagonal):
-    """``sum_i h_i x_i^2 / 2 - b^T x`` with curvatures ``h`` from 1 to 1e6,
-    minimized at ``x_i`` from 1 to 2; its gradient comes with the exact
-    Hessian diagonal ``h``, or with none."""
+def separable_quadratic(with_diagonal, offset=0.0):
+    """``offset + sum_i h_i x_i^2 / 2 - b^T x`` with curvatures ``h`` from 1
+    to 1e6, minimized at ``x_i`` from 1 to 2; its gradient comes with the
+    exact Hessian diagonal ``h``, or with none (then L-BFGS creeps)."""
     h = np.logspace(0, 6, 20)
     b = h * np.linspace(1.0, 2.0, 20)
 
     def objective(x):
-        f = 0.5 * float(np.sum(h * x * x)) - float(b @ x)
+        f = offset + 0.5 * float(np.sum(h * x * x)) - float(b @ x)
         return f, lambda: (h * x - b, h if with_diagonal else None)
 
     return objective, b / h
@@ -344,11 +346,12 @@ class TestDiagonalScaling:
         assert hist.termination == "converged"
         assert hist.iterations <= 3
         assert np.max(np.abs(x - xstar)) < 1e-12
-        # the scalar scaling crawls along the stiff coordinates
+        # the scalar scaling crawls along the stiff coordinates until its
+        # cost stops falling, far from grad_tol
         plain, _ = separable_quadratic(False)
         _, hist = lbfgs_minimize(plain, np.zeros(xstar.size), cfg)
-        assert hist.termination == "max-iters"
-        assert hist.iterations == 500
+        assert hist.termination == "stalled"
+        assert hist.grad_norm_history[-1] > 1e6 * cfg.grad_tol
 
     def test_only_the_full_fit_supplies_a_diagonal(self, monkeypatch):
         import spod.optimizer
@@ -379,6 +382,48 @@ class TestDiagonalScaling:
         optimize_decomposition(z, d0, cfg)
         assert diagonals
         assert all(d.shape == pack(d0).shape and np.all(d > 0) for d in diagonals)
+
+
+def creeping(offset):
+    return separable_quadratic(False, offset)[0]
+
+
+def window_holds(costs, k):
+    return costs[k - STALL_WINDOW] - costs[k] <= STALL_RTOL * abs(costs[k])
+
+
+class TestStall:
+    @pytest.mark.parametrize("offset", [0.0, 1e8])
+    def test_creeping_fit_stalls_at_the_first_flat_window(self, offset):
+        # costs fall from 0 to about -3.7e6, so the offset changes when the
+        # window's relative decrease becomes small enough
+        cfg = OptimizerConfig(max_iters=1000, grad_tol=1e-6)
+        _, hist = lbfgs_minimize(creeping(offset), np.zeros(20), cfg)
+        costs, k = hist.cost_history, hist.iterations
+        assert hist.termination == "stalled"
+        assert STALL_WINDOW < k < cfg.max_iters
+        assert hist.grad_norm_history[-1] > cfg.grad_tol
+        assert window_holds(costs, k)
+        assert not any(window_holds(costs, j) for j in range(STALL_WINDOW, k))
+
+    @pytest.mark.parametrize("max_iters", [1, 15, STALL_WINDOW - 1])
+    def test_a_fit_shorter_than_the_window_never_stalls(self, max_iters):
+        # at 1e13 the whole descent, ~3.7e6, is below 1e-6 of the cost, so
+        # the window test holds wherever it can be made
+        cfg = OptimizerConfig(max_iters=max_iters, grad_tol=1e-6)
+        _, hist = lbfgs_minimize(creeping(1e13), np.zeros(20), cfg)
+        assert hist.termination == "max-iters"
+        assert hist.iterations == max_iters
+
+    @pytest.mark.parametrize("max_iters", [STALL_WINDOW, 1000])
+    def test_stalled_is_tested_before_max_iters(self, max_iters):
+        # the window first fills at iteration STALL_WINDOW; at a budget of
+        # exactly that many iterations both tests hold, and "stalled" wins
+        cfg = OptimizerConfig(max_iters=max_iters, grad_tol=1e-6)
+        _, hist = lbfgs_minimize(creeping(1e13), np.zeros(20), cfg)
+        assert hist.termination == "stalled"
+        assert hist.iterations == STALL_WINDOW
+        assert window_holds(hist.cost_history, STALL_WINDOW)
 
 
 class TestCurvatureCondition:
