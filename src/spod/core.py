@@ -220,11 +220,8 @@ class _LineReader:
     """
 
     def __init__(self, source: Union[PathLike, IO[str]]):
-        # One read of the whole text, as _write_lines writes one: freeing a
-        # large string raises glibc's dynamic mmap threshold.  With both
-        # files streamed line by line it stayed at 128 KiB, and the crossing
-        # benchmark's fit then ran 27% slower, page-faulting on its large
-        # temporary arrays.
+        # One read of the whole text, split into lines, so that ``rows`` can
+        # hand each block of rows to the parser as one list.
         if hasattr(source, "read"):
             text = source.read()
         else:
@@ -300,15 +297,42 @@ class _LineReader:
         return value
 
     def rows(self, count: int, width: int, what: str) -> np.ndarray:
-        """The next ``count`` lines as a ``count x width`` array of finite numbers."""
+        """The next ``count`` lines as a ``count x width`` array of finite numbers.
+
+        The block is parsed in one pass; only if that fails are its rows read
+        again one at a time, which names the first malformed line."""
         left = len(self._lines) - self.lineno
         if count > left:
             raise ValueError(f"expected {count} {what} rows, found {left}")
         self._hold(count * width, f"{count} x {width} {what} rows")
+        block = self._lines[self.lineno : self.lineno + count]
+        out = _block(block, width)
+        if out is not None:
+            self.lineno += count
+            self._chars -= sum(map(len, block)) + count
+            return out
         out = np.empty((count, width))
         for k in range(count):
             out[k] = _numbers(self._next(), f"row {k}", width)
         return out
+
+
+def _block(lines: list[str], width: int) -> Optional[np.ndarray]:
+    """``lines`` as a ``len(lines) x width`` array of finite numbers, parsed in
+    one pass, or None where the per-row parse must decide.  numpy reads a
+    strict subset of the numbers ``float`` reads, and skips blank lines, so a
+    block it reads in full and in shape reads the same row by row.  An empty
+    block, or one whose first line is blank, never reaches numpy, which warns,
+    not raises, on a block with no data."""
+    if not (width and lines and lines[0].strip()):
+        return None
+    try:
+        out = np.loadtxt(lines, dtype=float, comments=None, ndmin=2)
+    except ValueError:
+        return None
+    if out.shape != (len(lines), width) or not np.isfinite(out).all():
+        return None
+    return out
 
 
 def _numbers(text: str, what: str, count: Optional[int] = None, kind=float) -> np.ndarray:

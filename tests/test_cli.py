@@ -441,9 +441,11 @@ class TestMalformedInput:
             lambda text: text.replace("modes=2 60", "modes=2 100000000000", 1),
             lambda text: text.replace("\ncoeffs=", " x\ncoeffs=", 1),
             lambda text: text + "garbage line\n[frame]\n",
+            lambda text: text[: text.index("modes=")] + "modes=0 60\ncoeffs=41 0\n" + "\n" * 41,
         ],
         ids=["cut", "token-without-=", "length-nan", "length-inf", "missing-frame",
-             "wrong-key", "short-shape", "huge-shape", "bad-row", "trailing-content"],
+             "wrong-key", "short-shape", "huge-shape", "bad-row", "trailing-content",
+             "zero-width"],
     )
     def test_decomposition_file(self, tmp_path, capsys, corrupt):
         z = burgers_analytic(BurgersParams(nx_intervals=60, nt_intervals=40))

@@ -1,5 +1,6 @@
 import io
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from spod.core import (
     SpatialGrid,
     TimeGrid,
     export_heatmap,
+    load_decomposition,
     load_snapshots,
     make_uniform_time_grid,
     relative_l2_error,
@@ -162,6 +164,99 @@ class TestSnapshotIO:
         z = SnapshotSet(SpatialGrid(3, 1.0), tg, np.zeros((3, 3)))
         with pytest.raises(ValueError, match="uniform"):
             save_snapshots(z, io.StringIO())
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+def _snapshot_text(*rows):
+    return "# spod-v1\nnt %d nx 3 length 1 tfinal 1\n" % len(rows) + "\n".join(rows) + "\n"
+
+
+class TestBlockParse:
+    """Each block of rows is parsed in one pass; the per-row parse, which
+    names the malformed line, must still decide every other case."""
+
+    @pytest.fixture
+    def awkward(self, rng):
+        vals = rng.standard_normal((7, 9)) * 10.0 ** rng.uniform(-300, 300, (7, 9))
+        vals[0, :4] = [-0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308]
+        return vals
+
+    def test_snapshots_round_trip_bitwise(self, awkward):
+        buf = io.StringIO()
+        save_snapshots(make_set(awkward), buf)
+        back = load_snapshots(io.StringIO(buf.getvalue()))
+        assert np.array_equal(_bits(back.values), _bits(awkward))
+
+    def test_decomposition_round_trip_bitwise(self, awkward):
+        z = make_set(awkward)
+        frames = (
+            Frame(PathRepr.nodal(awkward[:, 0]), awkward[:2], awkward[:, 2:4]),
+            Frame(PathRepr.polynomial([-0.0, 1.0]), awkward[2:5], awkward[:, 4:7]),
+        )
+        buf = io.StringIO()
+        save_decomposition(Decomposition(frames, z.grid, z.tgrid), buf)
+        back = load_decomposition(io.StringIO(buf.getvalue()))
+        for f, g in zip(frames, back.frames):
+            assert np.array_equal(_bits(g.path.values), _bits(f.path.values))
+            assert np.array_equal(_bits(g.modes), _bits(f.modes))
+            assert np.array_equal(_bits(g.coeffs), _bits(f.coeffs))
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            (["0 0 0", "", "0 0 0"], "line 4: row 1 has 0 values, expected 3"),
+            (["0 0 0", " \t ", "0 0 0"], "line 4: row 1 has 0 values, expected 3"),
+            (["      ", "      "], "line 3: row 0 has 0 values, expected 3"),
+            (["0 0 #0", "0 0 0"], "line 3: row 0 has a non-numeric value"),
+            (["0 0 0#0", "0 0 0"], "line 3: row 0 has a non-numeric value"),
+            (["0 0 0", "0 1e400 0"], "line 4: row 1 has a non-finite value"),
+            (["0 0 0", "0 x 0"], "line 4: row 1 has a non-numeric value"),
+            (["0 0 0 0", "0 0 0"], "line 3: row 0 has 4 values, expected 3"),
+            (["0 0 0", "0 0\x000 0"], "line 4: row 1 has a non-numeric value"),
+        ],
+        ids=["blank-line", "whitespace-line", "all-blank", "comment", "comment-after-row",
+             "overflow", "token", "long-row", "nul"],
+    )
+    def test_malformed_row_message(self, rows, message):
+        with warnings.catch_warnings(), pytest.raises(SnapshotFormatError) as info:
+            warnings.simplefilter("error")
+            load_snapshots(io.StringIO(_snapshot_text(*rows)))
+        assert str(info.value) == message
+
+    def test_tokens_only_float_reads(self):
+        back = load_snapshots(io.StringIO(_snapshot_text("1_0 0 0", "0 \u0661\u0662 0")))
+        assert back.values.tolist() == [[10.0, 0.0, 0.0], [0.0, 12.0, 0.0]]
+
+    def test_trailing_content_after_block(self):
+        text = _snapshot_text("0 0 0", "1 1 1") + "\n2 2 2\n"
+        with pytest.raises(SnapshotFormatError) as info:
+            load_snapshots(io.StringIO(text))
+        assert str(info.value) == "line 6: unexpected content after the data"
+
+    def test_count_guard_after_block(self):
+        # the modes block moves the character count the coefficient guard reads
+        text = (
+            "# spod-decomp-v1\nnframes=1 nt=2 nx=3 length=1 tfinal=1\n[frame]\n"
+            "path_kind=nodal\npath=0 0\nmodes=1 3\n1 2 3\ncoeffs=2 1000\n1\n2\n"
+        )
+        with pytest.raises(SnapshotFormatError) as info:
+            load_decomposition(io.StringIO(text))
+        assert str(info.value) == (
+            "line 8: 2 x 1000 coefficient rows need 2000 values, but only 4 characters follow"
+        )
+
+    def test_empty_blocks_do_not_warn(self):
+        text = (
+            "# spod-decomp-v1\nnframes=1 nt=2 nx=3 length=1 tfinal=1\n[frame]\n"
+            "path_kind=nodal\npath=0 0\nmodes=0 3\ncoeffs=2 0\n\n\n"
+        )
+        with warnings.catch_warnings(), pytest.raises(SnapshotFormatError) as info:
+            warnings.simplefilter("error")
+            load_decomposition(io.StringIO(text))
+        assert str(info.value) == "line 9: modes must be a 2-D array with at least one row"
 
 
 class TestRelativeError:
