@@ -29,7 +29,7 @@ from .cost_grad import (
     penalty_value,
     reconstruct,
 )
-from .baseline_pod import PodResult, pod, pod_reconstruction, truncated_svd
+from .baseline_pod import PodResult, pod, pod_reconstruction, pod_spectrum, truncated_svd
 from .generators import (
     BurgersParams,
     FhnParams,

@@ -4,34 +4,40 @@ The snapshot matrix is weighted on both sides before the SVD: rows by the
 square roots of the time-quadrature weights, columns by a symmetric square
 root of the P1 mass matrix, so that the truncation error is measured in
 exactly the space-time norm the shifted-mode cost minimizes.  The mass
-matrix is circulant, so its square root comes from its Fourier symbol.
-The path-only fit solves the same problem at each path for the data pulled
-back by the transposed shift Grams, weighted on the right by the inverse mass
-root instead; it builds that matrix in Fourier space, from the data's spectra
-with the inverse root applied once per fit.  It needs only the leading
-singular triplets, which ``_leading_svd`` finds by a block subspace
-iteration started from evenly spaced data rows and warm-started from the
-previous path after that.  Every SVD goes through :func:`truncated_svd`; a
-full one runs only where ``pod`` needs the whole spectrum or the iteration
-falls back.
+matrix is circulant, so its roots come from its Fourier symbol.
+
+One inner solve, :func:`_inner_solve`, serves the POD and every path-only
+evaluation.  For a path ``p`` it builds ``B = W^{1/2} Y M^{-1/2}``, the rows
+of ``Y`` being the data pulled back by the transposed shift Grams,
+``y_k = F(p_k)^T z_k``, in Fourier space from the data's spectra with the
+inverse root applied (:func:`_pullback_rows`), and takes the leading
+singular triplets of ``B`` with ``_leading_svd``: a block subspace iteration
+started from evenly spaced rows of ``B``, or warm from a previous path's
+block.  At the zero path ``F(0) = M``, so ``B = W^{1/2} Z M^{1/2}``: the POD
+is the inner solve there, and :func:`pod` takes no SVD of its own.  The
+whole spectrum, which only the ``pod`` command's manifest lists, is a
+separate values-only SVD of the same matrix (:func:`pod_spectrum`).  Every
+SVD with vectors goes through :func:`truncated_svd`; a full one runs only
+where the iteration falls back.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .core import SnapshotSet, SpatialGrid, TimeGrid, _frozen_array
 from .cost_grad import Decomposition, Frame, PathRepr
-from .shift_fem import apply_gram, zero_shift_grams
+from .shift_fem import BAND_OFFSETS, _band_F, decompose_shift, roll_rows
 
 __all__ = [
     "PodResult",
     "truncated_svd",
     "pod",
+    "pod_spectrum",
     "pod_reconstruction",
     "as_decomposition",
 ]
@@ -49,7 +55,8 @@ SUBSPACE_FLOOR_RTOL = 1e-13
 
 @dataclass(frozen=True, eq=False)
 class PodResult:
-    """Rank-r POD basis with X-orthonormal mode rows and projection coefficients."""
+    """Rank-r POD basis with X-orthonormal mode rows, projection coefficients
+    and the ``r`` leading singular values (:func:`pod_spectrum` gives them all)."""
 
     modes: np.ndarray = field(repr=False)
     coeffs: np.ndarray = field(repr=False)
@@ -96,7 +103,10 @@ def _apply_symbol(rows: np.ndarray, symbol: np.ndarray) -> np.ndarray:
 
 
 def _leading_svd(
-    B: np.ndarray, r: int, V: Optional[np.ndarray] = None
+    B: np.ndarray,
+    r: int,
+    V: Optional[np.ndarray] = None,
+    row_energy: Optional[np.ndarray] = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
     """Leading ``r`` singular triplets of ``B`` and the discarded energy
     ``sum_{i>r} s_i^2 / 2``, by block subspace iteration.
@@ -115,7 +125,8 @@ def _leading_svd(
     settles on the wrong invariant subspace (say, trailing vectors) fails
     it.  Otherwise, after ``SUBSPACE_MAX_SWEEPS`` sweeps, the full SVD is
     taken, and then the discarded energy is summed from its tail ``s[r:]``.
-    Every SVD goes through :func:`truncated_svd`.
+    Every SVD goes through :func:`truncated_svd`.  ``row_energy``, the
+    squared row norms of ``B``, is taken here unless the caller has it.
 
     Returns ``(U_r, s_r, V, discarded)``; the ``k`` columns of ``V`` (the
     leading ``r`` first) warm-start the next call.
@@ -124,8 +135,10 @@ def _leading_svd(
     k = min(SUBSPACE_FACTOR * r, nt, n)
     if V is None:
         V = B[np.linspace(0, nt - 1, k).round().astype(int)].T
-    # per-row sums: a whole-matrix dot product is split across BLAS threads
-    total = math.fsum(np.einsum("kl,kl->k", B, B))
+    if row_energy is None:
+        # per-row sums: a whole-matrix dot product is split across BLAS threads
+        row_energy = np.einsum("kl,kl->k", B, B)
+    total = math.fsum(row_energy)
     head = None
     for sweep in range(1, SUBSPACE_MAX_SWEEPS + 1):
         Q = np.linalg.qr(B @ V)[0]
@@ -143,23 +156,95 @@ def _leading_svd(
     return U[:, :r], s[:r], V[:, :k], 0.5 * float(np.dot(s[r:], s[r:]))
 
 
+def _pullback_rows(spectra: np.ndarray, bands: np.ndarray, q: np.ndarray, n: int) -> np.ndarray:
+    """Rows ``F(p_k)^T z_k`` from the half spectra ``rfft(z_k)``, the bands of
+    ``p_k``'s fractional part and its whole-cell offset ``q[k]``; a circulant
+    applied to the spectra, or a row scale to the bands, carries through.
+
+    ``F(p_k)^T`` has the Fourier symbol ``e^{2 pi i j q_k / n} sum_d
+    bands[k, d] e^{-2 pi i j delta_d / n}``: the band sums are one
+    ``(nt, 4) @ (4, n // 2 + 1)`` product, and the phase a roll of each row
+    after the inverse transform."""
+    j = np.arange(spectra.shape[1])
+    product = bands @ np.exp(-2j * np.pi / n * np.outer(BAND_OFFSETS, j))
+    product *= spectra
+    rows = np.fft.irfft(product, n, axis=1)
+    del product  # freed before the roll's padded copy of the rows
+    return roll_rows(rows, -q)
+
+
+def _pullback_spectra(z: SnapshotSet) -> np.ndarray:
+    """The data's half spectra with ``M^{-1/2}`` applied: fixed for a whole fit."""
+    n = z.grid.n
+    spectra = np.fft.rfft(z.values, axis=1)
+    spectra *= 1.0 / np.sqrt(_mass_symbol(z.grid))[: n // 2 + 1]
+    return spectra
+
+
+def _pullback_matrix(z: SnapshotSet, spectra: np.ndarray, shifts: np.ndarray) -> np.ndarray:
+    """``B = W^{1/2} Y M^{-1/2}`` at the shifts ``p_k``, with ``W^{1/2}`` in the bands."""
+    q, frac = decompose_shift(shifts, z.grid)
+    bands = np.sqrt(z.tgrid.weights)[:, None] * _band_F(frac, z.grid.h)
+    return _pullback_rows(spectra, bands, q, z.grid.n)
+
+
+class _InnerSolution(NamedTuple):
+    """The best rank-r single frame at one path.  ``row_energy[k]`` is the
+    squared norm of row ``k`` of ``B``, ``w_k y_k^T M^{-1} y_k``; ``warm`` is
+    the block that warm-starts the next solve; ``discarded`` is
+    ``sum_{i>r} s_i^2 / 2``."""
+
+    modes: np.ndarray
+    coeffs: np.ndarray
+    s: np.ndarray
+    warm: np.ndarray
+    row_energy: np.ndarray
+    discarded: float
+
+
+def _inner_solve(
+    z: SnapshotSet,
+    spectra: np.ndarray,
+    shifts: np.ndarray,
+    r: int,
+    warm: Optional[np.ndarray] = None,
+) -> _InnerSolution:
+    """Best rank-``r`` modes and coefficients of ``z`` at the shifts ``p_k``.
+
+    ``spectra`` comes from :func:`_pullback_spectra`.  The leading triplets
+    ``(u_i, s_i, v_i)`` of ``B`` (:func:`_leading_svd`, warm-started from
+    ``warm`` if given) give the X-orthonormal mode rows ``M^{-1/2} v_i`` and
+    the coefficients ``s_i u_i / w^{1/2}``."""
+    B = _pullback_matrix(z, spectra, shifts)
+    row_energy = np.einsum("kl,kl->k", B, B)
+    U, s, warm, discarded = _leading_svd(B, r, warm, row_energy)
+    modes = _apply_symbol(warm[:, :r].T, 1.0 / np.sqrt(_mass_symbol(z.grid)))
+    coeffs = (U * s) / np.sqrt(z.tgrid.weights)[:, None]
+    return _InnerSolution(modes, coeffs, s, warm, row_energy, discarded)
+
+
 def pod(z: SnapshotSet, r: int) -> PodResult:
-    """Weighted POD of a snapshot set.
+    """Weighted POD of a snapshot set: the inner solve at the zero path.
 
     Mode rows are X-orthonormal (``phi_i^T F(0) phi_j = delta_ij``) and the
     coefficients are the X projections ``alpha_i(t_k) = z_k^T F(0) phi_i``.
+    Each mode's largest-magnitude entry (the first of equals) is positive.
     """
     nt, n = z.values.shape
     if not 1 <= r <= min(nt, n):
         raise ValueError(f"rank {r} out of range for {nt} x {n} data")
-    # B = W^{1/2} Z R, R the symmetric square root of the mass matrix: its
-    # plain SVD is the weighted POD, and the mode rows are R^{-1} v_i
-    sq = np.sqrt(_mass_symbol(z.grid))
-    B = np.sqrt(z.tgrid.weights)[:, None] * _apply_symbol(z.values, sq)
-    _, s, V = truncated_svd(B, min(nt, n))
-    modes = _apply_symbol(V[:, :r].T, 1.0 / sq)
-    coeffs = z.values @ apply_gram(zero_shift_grams(z.grid)[0], modes).T
-    return PodResult(modes, coeffs, s)
+    sol = _inner_solve(z, _pullback_spectra(z), np.zeros(nt), r)
+    # the sign a singular pair comes with depends on the route that found it
+    peaks = sol.modes[np.arange(r), np.argmax(np.abs(sol.modes), axis=1)]
+    sign = np.where(peaks < 0.0, -1.0, 1.0)
+    return PodResult(sign[:, None] * sol.modes, sol.coeffs * sign, sol.s)
+
+
+def pod_spectrum(z: SnapshotSet) -> np.ndarray:
+    """Every singular value of the POD matrix ``W^{1/2} Z M^{1/2}``, largest
+    first, from one SVD without vectors."""
+    B = _pullback_matrix(z, _pullback_spectra(z), np.zeros(z.values.shape[0]))
+    return np.linalg.svd(B, compute_uv=False)
 
 
 def pod_reconstruction(pr: PodResult, z: SnapshotSet) -> SnapshotSet:

@@ -272,7 +272,7 @@ def _make_progress(args):
 
 
 def _cmd_pod(args) -> int:
-    from .baseline_pod import as_decomposition, pod, pod_reconstruction
+    from .baseline_pod import as_decomposition, pod, pod_reconstruction, pod_spectrum
     from .core import load_snapshots, relative_l2_error, save_decomposition
 
     t0 = time.perf_counter()
@@ -291,7 +291,7 @@ def _cmd_pod(args) -> int:
             "outputs": [str(out)],
             "config": _config(args),
             "final_relative_error": err,
-            "singular_values": [float(s) for s in pr.singular_values],
+            "singular_values": [float(s) for s in pod_spectrum(z)],
             "wall_time_s": time.perf_counter() - t0,
         },
     )

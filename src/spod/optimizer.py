@@ -57,7 +57,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .baseline_pod import _apply_symbol, _leading_svd, _mass_symbol
+# the tests of the path-only matrix import _pullback_rows from here
+from .baseline_pod import _inner_solve, _pullback_rows, _pullback_spectra  # noqa: F401
 from .core import SnapshotSet
 from .cost_grad import (
     CostGradient,
@@ -74,7 +75,7 @@ from .cost_grad import (
     path_values,
     penalty_gradient,
 )
-from .shift_fem import BAND_OFFSETS, _band_F, decompose_shift, periodic_windows, roll_rows
+from .shift_fem import BAND_OFFSETS, periodic_windows
 
 __all__ = [
     "VARIABLE_GROUPS",
@@ -517,23 +518,6 @@ def _gauss_newton_diagonal(ws: _Workspace, variables: Sequence[str]) -> np.ndarr
     return np.maximum(D, 1e-12 * top) if top > 0.0 else np.ones_like(D)
 
 
-def _pullback_rows(spectra: np.ndarray, bands: np.ndarray, q: np.ndarray, n: int) -> np.ndarray:
-    """Rows ``F(p_k)^T z_k`` from the half spectra ``rfft(z_k)``, the bands of
-    ``p_k``'s fractional part and its whole-cell offset ``q[k]``; a circulant
-    applied to the spectra, or a row scale to the bands, carries through.
-
-    ``F(p_k)^T`` has the Fourier symbol ``e^{2 pi i j q_k / n} sum_d
-    bands[k, d] e^{-2 pi i j delta_d / n}``: the band sums are one
-    ``(nt, 4) @ (4, n // 2 + 1)`` product, and the phase a roll of each row
-    after the inverse transform."""
-    j = np.arange(spectra.shape[1])
-    product = bands @ np.exp(-2j * np.pi / n * np.outer(BAND_OFFSETS, j))
-    product *= spectra
-    rows = np.fft.irfft(product, n, axis=1)
-    del product  # freed before the roll's padded copy of the rows
-    return roll_rows(rows, -q)
-
-
 def optimize_path_only(
     z: SnapshotSet,
     path0: PathRepr,
@@ -549,11 +533,13 @@ def optimize_path_only(
 
         J*(p) = 1/2 (sum_k w_k z_k^T M z_k - ||B||_F^2) + 1/2 sum_{i>r} s_i(B)^2.
 
-    Every evaluation builds ``B`` from the data's spectra, taken once per
-    fit (:func:`_pullback_rows`), and runs a block subspace iteration on
-    ``min(3 r, nt, n)`` columns: the first starts from evenly spaced rows of
-    ``B``, later ones from the previous evaluation's right singular vectors,
-    and it falls back to the full SVD only when it has not settled (see
+    Every evaluation is the inner solve at its path
+    (:func:`spod.baseline_pod._inner_solve`, which the POD runs at the zero
+    path): it builds ``B`` from the data's spectra, taken once per fit, and
+    runs a block subspace iteration on ``min(3 r, nt, n)`` columns: the first
+    starts from evenly spaced rows of ``B``, later ones from the previous
+    evaluation's right singular vectors, and it falls back to the full SVD
+    only when it has not settled (see
     :func:`spod.baseline_pod._leading_svd`).  The gradient is
     :func:`~spod.cost_grad.path_gradient_nodal` at the inner solution.  The
     returned decomposition is rebuilt at the final path, warm-started like
@@ -572,15 +558,11 @@ def optimize_path_only(
     if set(cfg.variables) != set(VARIABLE_GROUPS):
         raise ValueError(f"the path-only fit takes no variable subset, got {cfg.variables=}")
     times = z.tgrid.times
-    sqw = np.sqrt(z.tgrid.weights)
     if path0.kind == "nodal" and path0.values.size != nt:
         raise ValueError(f"nodal path has {path0.values.size} samples, expected {nt}")
-    # Fourier symbol of M^{-1/2} and the weighted data energy w_k z_k^T M z_k
-    inv_root = 1.0 / np.sqrt(_mass_symbol(z.grid))
+    # the weighted data energy w_k z_k^T M z_k and the data's spectra, per fit
     energy = z.tgrid.weights * _data_energy(z)
-    # the data's half spectra with M^{-1/2} applied: fixed for the whole fit
-    spectra = np.fft.rfft(z.values, axis=1)
-    spectra *= inv_root[: n // 2 + 1]
+    spectra = _pullback_spectra(z)
 
     # right singular vectors of the previous evaluation: the warm start
     warm = None
@@ -588,16 +570,12 @@ def optimize_path_only(
     def inner(x: np.ndarray) -> tuple[float, Decomposition]:
         nonlocal warm
         path = PathRepr(path0.kind, x)
-        q, frac = decompose_shift(path_values(path, times), z.grid)
-        # B = W^{1/2} Y M^{-1/2} with rows y_k = F(p_k)^T z_k, W^{1/2} in the bands
-        B = _pullback_rows(spectra, sqw[:, None] * _band_F(frac, z.grid.h), q, n)
+        sol = _inner_solve(z, spectra, path_values(path, times), r, warm)
+        warm = sol.warm
         # w_k (z_k^T M z_k - y_k^T M^{-1} y_k) >= 0 per row, summed exactly
-        projected = math.fsum(np.concatenate([energy, -np.einsum("kl,kl->k", B, B)]).tolist())
-        U, s, warm, discarded = _leading_svd(B, r, warm)
-        modes = _apply_symbol(warm[:, :r].T, inv_root)
-        coeffs = (U * s) / sqw[:, None]
-        frame = Frame(path, modes, coeffs)
-        return 0.5 * projected + discarded, Decomposition((frame,), z.grid, z.tgrid)
+        projected = math.fsum(np.concatenate([energy, -sol.row_energy]).tolist())
+        frame = Frame(path, sol.modes, sol.coeffs)
+        return 0.5 * projected + sol.discarded, Decomposition((frame,), z.grid, z.tgrid)
 
     def objective(x: np.ndarray):
         cost, d = inner(x)

@@ -10,9 +10,17 @@ from spod.baseline_pod import (
     _mass_symbol,
     pod,
     pod_reconstruction,
+    pod_spectrum,
     truncated_svd,
 )
-from spod.core import SnapshotSet, SpatialGrid, make_uniform_time_grid, relative_l2_error
+from spod.cli import main
+from spod.core import (
+    SnapshotSet,
+    SpatialGrid,
+    make_uniform_time_grid,
+    relative_l2_error,
+    save_snapshots,
+)
 from spod.shift_fem import apply_gram, gram_F
 
 from oracles import x_weighted_relative_error
@@ -171,6 +179,20 @@ class TestLeadingSvd:
         self.assert_matches_full_svd(B, 2, got)
 
 
+def assert_signed_full_svd_pod(z, r, pr=None):
+    """``pod(z, r)`` against the modes of ``truncated_svd`` of ``W^1/2 Z M^1/2``,
+    each mode on both sides signed so that its largest-magnitude entry is
+    positive, and the coefficients against the X projections of the data."""
+    pr = pod(z, r) if pr is None else pr
+    sq = np.sqrt(_mass_symbol(z.grid))
+    B = np.sqrt(z.tgrid.weights)[:, None] * _apply_symbol(z.values, sq)
+    want = _apply_symbol(truncated_svd(B, r)[2].T, 1.0 / sq)
+    want *= np.sign(want[np.arange(r), np.argmax(np.abs(want), axis=1)])[:, None]
+    assert np.max(np.abs(pr.modes - want)) <= 1e-8 * np.max(np.abs(want))
+    x_proj = z.values @ apply_gram(gram_F(0.0, z.grid), pr.modes).T
+    assert np.max(np.abs(pr.coeffs - x_proj)) <= 1e-8 * np.max(np.abs(x_proj))
+
+
 class TestPod:
     def test_identical_rows_rank_one(self, rng):
         row = rng.standard_normal(12)
@@ -185,13 +207,31 @@ class TestPod:
         pr = pod(z, 1)
         assert relative_l2_error(z, pod_reconstruction(pr, z)) <= 1e-10
 
-    def test_one_truncated_svd_at_full_rank(self, rng, monkeypatch):
-        # criterion 8's kernel is the one pod runs
-        z = make_set(rng.standard_normal((9, 14)))
+    def test_only_the_spectrum_takes_a_full_svd(self, rng, monkeypatch, tmp_path):
+        # pod is the inner solve at the zero path: where the block settles, no
+        # SVD of the whole 30 x 40 matrix; the spectrum is one values-only SVD
+        z = make_set(spectrum_matrix(rng, 30, 40, 0.7 ** np.arange(30)))
+        data = tmp_path / "z.spod"
+        save_snapshots(z, data)
+        svd = np.linalg.svd
+        full = []
+
+        def spy(a, *args, **kwargs):
+            if np.shape(a) == (30, 40):
+                full.append(kwargs.get("compute_uv", True))
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", spy)
         calls = spy_truncated_svd(monkeypatch)
         pr = pod(z, 3)
-        assert calls == [((9, 14), 9)]
-        assert pr.singular_values.shape == (9,)
+        assert calls and ((30, 40), 30) not in calls and full == []
+        assert pr.singular_values.shape == (3,)
+        s = pod_spectrum(z)
+        assert full == [False] and s.shape == (30,)
+        assert np.max(np.abs(s[:3] - pr.singular_values)) <= 1e-12 * s[0]
+        full.clear()
+        assert main(["compare", str(data), "--pod", "3"]) == 0
+        assert ((30, 40), 30) not in calls and full == []
 
     def test_modes_are_x_orthonormal(self, rng):
         z = make_set(rng.standard_normal((9, 14)))
@@ -210,8 +250,7 @@ class TestPod:
 
     def test_error_identity_against_spectrum(self, rng):
         z = make_set(rng.standard_normal((10, 12)))
-        pr_full = pod(z, 1)
-        s = pr_full.singular_values
+        s = pod_spectrum(z)
         total = float(np.sum(s**2))
         for r in (1, 2, 5, 8):
             pr = pod(z, r)
@@ -233,6 +272,31 @@ class TestPod:
         pr = pod(burgers_data, 1)
         err = relative_l2_error(burgers_data, pod_reconstruction(pr, burgers_data))
         assert err == pytest.approx(4.499e-1, rel=0.02)
+
+    @pytest.mark.parametrize("seed", [21, 22, 23])
+    def test_mode_signs_on_random_data(self, seed):
+        rng = np.random.default_rng(seed)
+        z = make_set(rng.standard_normal((40, 30)) * 0.8 ** np.arange(30), 2.0, 3.0)
+        for r in (1, 2, 4):
+            assert_signed_full_svd_pod(z, r)
+
+    def test_mode_signs_on_burgers(self, burgers_data):
+        for r in range(1, 6):
+            assert_signed_full_svd_pod(burgers_data, r)
+
+    @pytest.mark.parametrize("seed", [7, 8])
+    def test_mode_signs_through_the_fall_back(self, seed, svd_shapes):
+        # s_4 = ... = s_50: the energy outside any 9-column block stays above
+        # s_3^2, so the block never settles and the full SVD is taken
+        rng = np.random.default_rng(seed)
+        sqw = np.sqrt(make_uniform_time_grid(59, 1.0).weights)
+        sq = np.sqrt(_mass_symbol(SpatialGrid(50, 1.0)))
+        B = spectrum_matrix(rng, 60, 50, np.r_[1.3, 1.2, 1.1, np.ones(47)])
+        z = make_set(_apply_symbol(B / sqw[:, None], 1.0 / sq))
+        svd_shapes.clear()
+        pr = pod(z, 3)
+        assert svd_shapes.count((60, 50)) == 1
+        assert_signed_full_svd_pod(z, 3, pr)
 
     def test_singular_values_nonincreasing(self, rng):
         z = make_set(rng.standard_normal((8, 11)))
