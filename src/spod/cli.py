@@ -19,6 +19,45 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
+
+from . import __version__
+from .baseline_pod import as_decomposition, pod, pod_reconstruction, pod_spectrum
+from .core import (
+    _FMT,
+    SnapshotFormatError,
+    SnapshotSet,
+    SpatialGrid,
+    _write_lines,
+    export_heatmap,
+    load_decomposition,
+    load_field,
+    load_snapshots,
+    make_uniform_time_grid,
+    relative_l2_error,
+    save_decomposition,
+    save_snapshots,
+)
+from .cost_grad import Decomposition, Frame, PathRepr, eval_cost, eval_cost_gradient, reconstruct
+from .generators import (
+    BurgersParams,
+    FhnParams,
+    IntegratorBlowupError,
+    TravelingProfile,
+    burgers_analytic,
+    fhn_simulate,
+    synthetic_traveling,
+)
+from .optimizer import (
+    OptimizerConfig,
+    _keep_freed_memory,
+    optimize_decomposition,
+    optimize_path_only,
+    pack,
+    pack_gradient,
+    unpack,
+)
+
 __all__ = ["main"]
 
 USAGE_EXIT = 2
@@ -33,17 +72,12 @@ class CliError(Exception):
 
 
 def _write_manifest(out_path: Path, payload: dict) -> Path:
-    import numpy
-
-    from . import __version__
-    from .core import _write_lines
-
     payload = dict(payload)
     payload.setdefault("versions", {})
     payload["versions"].update(
         {
             "spod": __version__,
-            "numpy": numpy.__version__,
+            "numpy": np.__version__,
             "python": "%d.%d.%d" % sys.version_info[:3],
         }
     )
@@ -61,10 +95,6 @@ def _config(args, *skip: str) -> dict:
 
 def _parse_frame_spec(spec: str, tgrid, default_r: int | None = None):
     """Parse ``r=2,path=linear:0.185`` style frame specifications."""
-    import numpy as np
-
-    from .cost_grad import PathRepr
-
     r = default_r
     path = None
     for item in spec.split(","):
@@ -106,10 +136,6 @@ def _parse_frame_spec(spec: str, tgrid, default_r: int | None = None):
 def _initial_decomposition(z, frame_specs):
     """Paper-style initialization: mode stacks from the leading snapshots,
     unit coefficients, user-supplied path guesses."""
-    import numpy as np
-
-    from .cost_grad import Decomposition, Frame
-
     frames = []
     nt = z.tgrid.m + 1
     offset = 0
@@ -129,8 +155,6 @@ def _initial_decomposition(z, frame_specs):
 def _load(loader, path: str):
     """``loader(path)``, with a missing or malformed file as an I/O error
     whose message names the file (and the line, see ``SnapshotFormatError``)."""
-    from .core import SnapshotFormatError
-
     try:
         return loader(path)
     except FileNotFoundError as exc:
@@ -140,19 +164,13 @@ def _load(loader, path: str):
 
 
 def _cmd_generate(args) -> int:
-    from .core import save_snapshots
-
     t0 = time.perf_counter()
     if args.dataset == "burgers":
-        from .generators import BurgersParams, burgers_analytic
-
         params = BurgersParams(
             reynolds=args.re, nx_intervals=args.nx, nt_intervals=args.nt
         )
         z = burgers_analytic(params)
     elif args.dataset == "fhn":
-        from .generators import FhnParams, fhn_simulate
-
         params = FhnParams(
             nu=args.nu,
             a=args.a,
@@ -164,10 +182,6 @@ def _cmd_generate(args) -> int:
         )
         z = fhn_simulate(params)
     else:
-        from .core import SpatialGrid, make_uniform_time_grid
-        from .generators import TravelingProfile, synthetic_traveling
-        import numpy as np
-
         grid = SpatialGrid(args.nx, 1.0)
         tgrid = make_uniform_time_grid(args.nt, 1.0)
         x = grid.nodes
@@ -197,16 +211,6 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
-    import numpy as np
-
-    from .core import load_snapshots, relative_l2_error, save_decomposition
-    from .cost_grad import reconstruct
-    from .optimizer import (
-        OptimizerConfig,
-        optimize_decomposition,
-        optimize_path_only,
-    )
-
     t0 = time.perf_counter()
     z = _load(load_snapshots, args.input)
     if args.penalty_c is not None and not args.penalty_lambda > 0:
@@ -225,8 +229,8 @@ def _cmd_decompose(args) -> int:
         if args.penalty_lambda > 0:
             raise CliError("path-only mode takes no --penalty-lambda", USAGE_EXIT)
         r, path0 = _parse_frame_spec(args.frames[0], z.tgrid, default_r=args.r)
-        if args.r is not None:
-            r = args.r
+        if args.r is not None and r != args.r:
+            raise CliError(f"--r {args.r} conflicts with r={r} in --frames", USAGE_EXIT)
         result = optimize_path_only(z, path0, r, cfg, callback=progress)
     else:
         if args.r is not None:
@@ -248,7 +252,6 @@ def _cmd_decompose(args) -> int:
         "config": _config(args, "require_converged", "progress"),
         "iterations": result.iterations,
         "n_objective_evals": result.n_evals,
-        "n_gradient_evals": result.n_gradients,
         "termination": result.termination,
         "final_cost": float(result.cost_history[-1]),
         "final_relative_error": err,
@@ -272,9 +275,6 @@ def _make_progress(args):
 
 
 def _cmd_pod(args) -> int:
-    from .baseline_pod import as_decomposition, pod, pod_reconstruction, pod_spectrum
-    from .core import load_snapshots, relative_l2_error, save_decomposition
-
     t0 = time.perf_counter()
     z = _load(load_snapshots, args.input)
     if args.r > min(z.tgrid.m + 1, z.grid.n):
@@ -300,10 +300,8 @@ def _cmd_pod(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    from .baseline_pod import pod, pod_reconstruction
-    from .core import _FMT, _write_lines, load_decomposition, load_snapshots, relative_l2_error
-    from .cost_grad import reconstruct
-
+    if not (args.decomp or args.pod):
+        raise CliError("compare needs --decomp files or --pod ranks", USAGE_EXIT)
     z = _load(load_snapshots, args.input)
     rows = []
     for path in args.decomp:
@@ -329,11 +327,6 @@ def _cmd_compare(args) -> int:
 
 def _gradcheck_fixture():
     """Small deterministic two-frame instance (no randomness anywhere)."""
-    import numpy as np
-
-    from .core import SpatialGrid, SnapshotSet, make_uniform_time_grid
-    from .cost_grad import Decomposition, Frame, PathRepr
-
     grid = SpatialGrid(24, 1.0)
     tgrid = make_uniform_time_grid(12, 1.0)
     x = grid.nodes
@@ -360,17 +353,13 @@ def _gradcheck_fixture():
 
 
 def _cmd_gradcheck(args) -> int:
-    import numpy as np
-
-    from .core import load_snapshots
-    from .cost_grad import eval_cost, eval_cost_gradient
-    from .optimizer import pack, pack_gradient, unpack
-
     if args.input:
         z = _load(load_snapshots, args.input)
         if not args.frames:
             raise CliError("gradcheck on a data file needs --frames", USAGE_EXIT)
         d = _initial_decomposition(z, args.frames)
+    elif args.frames:
+        raise CliError("--frames needs a data file; the built-in fixture has its own", USAGE_EXIT)
     else:
         z, d = _gradcheck_fixture()
     g = eval_cost_gradient(z, d)
@@ -397,8 +386,6 @@ def _cmd_gradcheck(args) -> int:
 
 
 def _cmd_export_heatmap(args) -> int:
-    from .core import export_heatmap, load_field
-
     export_heatmap(_load(load_field, args.input), Path(args.output))
     return 0
 
@@ -439,7 +426,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help='frame spec like "r=2,path=linear:0.185"; repeat for more frames',
     )
     dec.add_argument("--mode", choices=["full", "path-only"], default="full")
-    dec.add_argument("--r", type=int, help="mode count override (path-only)")
+    dec.add_argument("--r", type=int, help="mode count (path-only); must equal an r= in --frames")
     dec.add_argument("--iters", type=int, default=500)
     dec.add_argument("--grad-tol", type=float, default=1e-8)
     dec.add_argument("--memory", type=int, default=10)
@@ -485,9 +472,6 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = _build_parser()
     args = parser.parse_args(argv)
-    from .generators import IntegratorBlowupError
-    from .optimizer import _keep_freed_memory
-
     _keep_freed_memory()
     try:
         return _COMMANDS[args.command](args)

@@ -210,7 +210,8 @@ def _data_energy(z: SnapshotSet) -> np.ndarray:
 
 
 class _Workspace:
-    """The state of one evaluation point, shared by its value and its gradient.
+    """The state of one evaluation point, shared by its value, its gradient
+    and the optimizer's Gauss-Newton diagonal.
 
     Built once per point ``(z, d)``: per frame ``a`` its modes rolled by each
     band offset, one C-ordered ``(4 r, n)`` matrix of periodic windows, and
@@ -222,8 +223,8 @@ class _Workspace:
     families; a family contracts it with its bands.  Everything else is a
     cached property, built when first read: the row products, the mass Grams
     ``Phi F(0) Phi^T``, the families ``F`` (for the value) and ``G`` (for the
-    path gradient), each ``(bands, DZ, R)``, and the value.  So a gradient
-    after the value at the same point adds only ``G`` and the mode rows.  The
+    path gradient), each ``(bands, DZ, R)``, and the value.  So the value
+    alone builds no ``G`` band, and the path gradient alone no ``F`` band.  The
     zero-shift Grams come from the per-grid cache of ``shift_fem``, the data
     energy from the per-snapshot-set cache above.
     """
@@ -333,16 +334,6 @@ class _Workspace:
         return row + apply_gram(self.F0, (c.T @ f.coeffs) @ f.modes)
 
 
-def _point_workspace(z: SnapshotSet, d: Decomposition, workspace) -> _Workspace:
-    """The caller's workspace, if it was built for these very ``z`` and ``d``,
-    or a new one."""
-    if workspace is None:
-        return _Workspace(z, d)
-    if workspace.z is not z or workspace.d is not d:
-        raise ValueError("workspace was built for another snapshot set or decomposition")
-    return workspace
-
-
 def reconstruct(d: Decomposition) -> SnapshotSet:
     """Evaluate the decomposition to nodal snapshot values.
 
@@ -356,28 +347,27 @@ def reconstruct(d: Decomposition) -> SnapshotSet:
     return SnapshotSet(d.grid, d.tgrid, out)
 
 
-def eval_cost(z: SnapshotSet, d: Decomposition, *, workspace=None) -> float:
+def eval_cost(z: SnapshotSet, d: Decomposition) -> float:
     """Quadrature-weighted squared-residual cost, assembled via Gram matrices.
 
     Bitwise equal to ``eval_cost_gradient(z, d).value``: the same F-family
     products, summed in the same order; no G band or product is built.
-    ``workspace``, if given, is a ``_Workspace`` built for these very ``z``
-    and ``d`` (``ValueError`` otherwise); it keeps the F products and the
-    value for a gradient taken later at the same point.
     """
-    return _point_workspace(z, d, workspace).value
+    return _Workspace(z, d).value
 
 
 def eval_cost_gradient(z: SnapshotSet, d: Decomposition, *, workspace=None) -> CostGradient:
     """Cost together with its gradients w.r.t. coefficients, paths, and modes.
 
     Polynomial path gradients are the nodal gradients pulled back through
-    the monomial basis (:func:`path_pullback`).  Given the ``workspace`` of
-    an earlier :func:`eval_cost` at the same point (see there), the value,
-    the row products and the F products come from it, and only the G
-    products and the mode rows are built; the result is bitwise the same.
+    the monomial basis (:func:`path_pullback`).  ``workspace``, if given, is
+    a ``_Workspace`` built for these very ``z`` and ``d`` (``ValueError``
+    otherwise), which the caller reads again afterwards (the optimizer takes
+    its Gauss-Newton diagonal from it); the result is bitwise the same.
     """
-    ws = _point_workspace(z, d, workspace)
+    ws = _Workspace(z, d) if workspace is None else workspace
+    if ws.z is not z or ws.d is not d:
+        raise ValueError("workspace was built for another snapshot set or decomposition")
     _, FZ, R = ws.F
     value = ws.value
     path_grads = ws.path_gradients()
@@ -514,13 +504,12 @@ def penalty_gradient(d: Decomposition, C: float) -> CostGradient:
 
 
 def eval_penalized_cost(
-    z: SnapshotSet, d: Decomposition, C: float = 1.0, lam: float = 0.0, *, workspace=None
+    z: SnapshotSet, d: Decomposition, C: float = 1.0, lam: float = 0.0
 ) -> float:
-    """Cost plus ``lam`` times the admissible-set penalty (``lam = 0`` default);
-    ``workspace`` goes to :func:`eval_cost`."""
+    """Cost plus ``lam`` times the admissible-set penalty (``lam = 0`` default)."""
     if lam < 0:
         raise ValueError(f"penalty coefficient must be nonnegative, got {lam}")
-    value = eval_cost(z, d, workspace=workspace)
+    value = eval_cost(z, d)
     if lam > 0.0:
         value += lam * penalty_value(d, C)
     return value

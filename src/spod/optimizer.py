@@ -21,16 +21,14 @@ Two drivers share one L-BFGS core:
   the partial path gradient of the cost at the inner minimizer is the
   gradient of the reduced objective.
 
-An objective maps a point to ``(f, gradient)``: the value, and a
-zero-argument callable that returns the gradient there together with a
-positive diagonal ``D`` of the Hessian, or ``None``.  The Armijo line search
-decides on values, and reads one gradient besides: at a unit step that passes
-Armijo it checks the weak Wolfe curvature condition (Nocedal & Wright,
-Numerical Optimization, section 3.1), and doubles the step only when that
-says it is too short.  So :func:`lbfgs_minimize` calls ``gradient`` at the
-start point, at such a unit step (kept if the step is accepted) and at the
-point each line search accepts; a backtracked or doubled trial costs one
-value evaluation, never a gradient.  The two-loop recursion starts from
+An objective maps a point to ``(f, g, D)`` in one call: the value, the
+gradient and a positive diagonal ``D`` of the Hessian there, or ``None``
+(the usual L-BFGS interface; Nocedal & Wright, Numerical Optimization,
+section 7.2).  The Armijo line search decides on values, and reads one
+gradient besides: at a unit step that passes Armijo it checks the weak Wolfe
+curvature condition (section 3.1), and doubles the step only when that says
+it is too short.  Every trial, backtracked or doubled, costs one evaluation.
+The two-loop recursion starts from
 ``H_0 = gamma D^{-1}`` with ``gamma = s^T y / y^T D^{-1} y`` (Liu & Nocedal,
 Math. Prog. 1989; Nocedal & Wright, section 7.2), or from the scalar
 ``(s^T y / y^T y) I`` without a diagonal.  The full fit supplies the
@@ -57,8 +55,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-# the tests of the path-only matrix import _pullback_rows from here
-from .baseline_pod import _inner_solve, _pullback_rows, _pullback_spectra  # noqa: F401
+from .baseline_pod import _inner_solve, _pullback_spectra
 from .core import SnapshotSet
 from .cost_grad import (
     CostGradient,
@@ -69,7 +66,6 @@ from .cost_grad import (
     _Workspace,
     eval_cost,
     eval_cost_gradient,
-    eval_penalized_cost,
     path_gradient_nodal,
     path_pullback,
     path_values,
@@ -108,10 +104,9 @@ STALL_WINDOW = 50
 STALL_RTOL = 1e-6
 
 ProgressCallback = Callable[[int, float, float], None]
-# a point -> its value and a deferred (gradient, Hessian diagonal or None)
-# there (see the module docstring)
-Gradient = Callable[[], tuple[np.ndarray, Optional[np.ndarray]]]
-Objective = Callable[[np.ndarray], tuple[float, Gradient]]
+# a point -> its value, gradient and Hessian diagonal or None there (see the
+# module docstring)
+Objective = Callable[[np.ndarray], tuple[float, np.ndarray, Optional[np.ndarray]]]
 
 
 @dataclass(frozen=True)
@@ -154,10 +149,7 @@ class OptimizerResult:
     :func:`lbfgs_minimize` leaves ``decomposition`` as ``None``; the drivers
     fill it in from the final point.  ``termination`` is ``converged``,
     ``stalled``, ``max-iters`` or ``line-search-failure`` (see
-    :func:`lbfgs_minimize`).  ``n_evals`` counts objective (value)
-    evaluations, ``n_gradients`` every gradient taken of them: one at the
-    start, one per accepted point, and one per curvature probe that a doubled
-    step superseded.
+    :func:`lbfgs_minimize`).  ``n_evals`` counts objective evaluations.
     """
 
     decomposition: Optional[Decomposition]
@@ -166,7 +158,6 @@ class OptimizerResult:
     iterations: int
     termination: str
     n_evals: int
-    n_gradients: int
     isometry_defect: Optional[float] = None
 
 
@@ -259,13 +250,10 @@ def _line_search(objective: Objective, x: np.ndarray, f: float, direction: np.nd
     ``None`` once ``MAX_BACKTRACKS`` steps failed or a step no longer moves
     ``x``.  A step is accepted only if it also lowers the cost.
 
-    A unit step that passes Armijo is probed: its gradient is taken, and if
-    the weak Wolfe curvature condition ``g_n.d >= CURVATURE_C gd`` holds the
-    step is not too short and is accepted with that gradient.  Otherwise it
-    is doubled while the decrease rule holds and the value keeps falling,
-    and the probe's gradient serves if no doubling is accepted.  Backtracked
-    and doubled trials cost one value each, and of them only the accepted
-    one's gradient is taken."""
+    A unit step that passes Armijo is accepted if its gradient meets the
+    weak Wolfe curvature condition ``g_n.d >= CURVATURE_C gd``: the step is
+    not too short.  Otherwise it is doubled while the decrease rule holds
+    and the value keeps falling, and the last step accepted is returned."""
 
     def accepts(step, fn):
         return np.isfinite(fn) and fn < f and fn <= f + ARMIJO_C * step * gd
@@ -276,24 +264,20 @@ def _line_search(objective: Objective, x: np.ndarray, f: float, direction: np.nd
         if np.array_equal(xn, x):
             # step underflowed against x: no progress possible
             return None
-        fn, gradient = objective(xn)
+        fn, gn, dn = objective(xn)
         if accepts(step, fn):
-            taken = gradient()
-            gradient = None  # the trial's state is spent
-            if bt > 0 or np.dot(taken[0], direction) >= CURVATURE_C * gd:
-                return (xn, fn, *taken)
+            if bt > 0 or np.dot(gn, direction) >= CURVATURE_C * gd:
+                return xn, fn, gn, dn
             # the unit step is too short: grow it while the decrease rule
             # holds, to escape stagnation on over-short quasi-Newton directions
             while step <= 2.0**MAX_EXPANSIONS:
                 xe = x + 2.0 * step * direction
-                fe, gradient_e = objective(xe)
+                fe, ge, de = objective(xe)
                 if not (accepts(2.0 * step, fe) and fe < fn):
                     break
                 step *= 2.0
-                xn, fn, gradient = xe, fe, gradient_e
-            gradient_e = None  # free the rejected doubling first
-            return (xn, fn, *(taken if gradient is None else gradient()))
-        gradient = None  # free the rejected trial before the next one
+                xn, fn, gn, dn = xe, fe, ge, de
+            return xn, fn, gn, dn
         step *= BACKTRACK_FACTOR
     return None
 
@@ -331,8 +315,7 @@ def lbfgs_minimize(
     """Two-loop-recursion L-BFGS with an Armijo line search that doubles
     a unit step only when the curvature condition says it is too short.
 
-    ``objective(x)`` returns ``(f, gradient)`` with ``gradient`` a
-    zero-argument callable that returns ``(g, D)``: the gradient and a
+    ``objective(x)`` returns ``(f, g, D)``: the value, the gradient and a
     positive diagonal of the Hessian there, or ``None`` for no diagonal.
     Each quasi-Newton direction starts from ``H_0 = gamma D^{-1}``, ``D``
     the diagonal at the current point and ``gamma = s^T y / y^T D^{-1} y``
@@ -341,15 +324,8 @@ def lbfgs_minimize(
     empty memory (the first, and the steepest-descent restart) is the
     unscaled ``-g`` either way.  :func:`optimize_decomposition` supplies
     the Gauss-Newton diagonal of the cost, which ignores the penalty;
-    :func:`optimize_path_only` supplies none.  Line-search trials read only
-    ``f``; ``gradient`` is called at ``x0``, at a unit step that passes
-    Armijo (the curvature probe of :func:`_line_search`) and at each
-    accepted point, at most once per trial: ``iterations + 1`` times, plus
-    one for each probe that a doubled step supersedes.  ``n_gradients``
-    counts every call.  A trial's ``gradient`` is dropped once it is
-    rejected or taken, so whatever state it holds is freed: when
-    ``objective`` is called, at most one earlier trial (the one an expanding
-    line search has accepted so far) is still alive.
+    :func:`optimize_path_only` supplies none.  ``n_evals`` counts the
+    calls of ``objective``, one per line-search trial and one at ``x0``.
 
     Returns the final point and its trace, an :class:`OptimizerResult` with
     no decomposition.  Before each step it tests, in this order: the
@@ -369,24 +345,15 @@ def lbfgs_minimize(
     (:func:`_keep_freed_memory`).
     """
     _keep_freed_memory()
-    n_evals = n_gradients = 0
+    n_evals = 0
 
     def evaluate(x: np.ndarray):
         nonlocal n_evals
         n_evals += 1
-        f, gradient = objective(x)
-
-        def counted():
-            nonlocal n_gradients
-            n_gradients += 1
-            return gradient()
-
-        return f, counted
+        return objective(x)
 
     x = np.array(x0, dtype=float)
-    f, gradient = evaluate(x)
-    g, diagonal = gradient()
-    gradient = None
+    f, g, diagonal = evaluate(x)
     if not (np.isfinite(f) and np.all(np.isfinite(g))):
         raise ValueError("objective is not finite at the initial point")
     costs = [float(f)]
@@ -436,7 +403,7 @@ def lbfgs_minimize(
         if callback is not None:
             callback(iterations, costs[-1], gnorms[-1])
     result = OptimizerResult(
-        None, np.array(costs), np.array(gnorms), iterations, termination, n_evals, n_gradients
+        None, np.array(costs), np.array(gnorms), iterations, termination, n_evals
     )
     return x, result
 
@@ -450,18 +417,13 @@ def optimize_decomposition(
     """Minimize the (penalized) cost over the selected variable blocks,
     starting from the supplied decomposition.
 
-    Each objective evaluation builds one workspace for its point (the Gram
-    assembly shared by value and gradient) and makes one
-    :func:`~spod.cost_grad.eval_penalized_cost` call with it; its deferred
-    gradient is one :func:`~spod.cost_grad.eval_cost_gradient` call on the
-    same workspace, which adds only the G contractions and the mode rows,
-    plus, with ``cfg.lam > 0``, one :func:`~spod.cost_grad.penalty_gradient` call
-    (the closed-form subgradient).  The workspace lives as long as the
-    trial's gradient closure, so a rejected trial frees it.  The values
-    agree bitwise with those of the gradient calls, so the line search sees
-    the same costs either way.  Each gradient comes with the Gauss-Newton
-    diagonal of the cost at its point (:func:`_gauss_newton_diagonal`, from
-    the same workspace), which scales the L-BFGS initial inverse Hessian.
+    Each objective evaluation builds one workspace for its point and makes
+    one :func:`~spod.cost_grad.eval_cost_gradient` call on it, plus, with
+    ``cfg.lam > 0``, one :func:`~spod.cost_grad.penalty_gradient` call (the
+    closed-form subgradient).  Their values are bitwise those of
+    :func:`~spod.cost_grad.eval_penalized_cost`.  The Gauss-Newton diagonal
+    of the cost (:func:`_gauss_newton_diagonal`, from the same workspace)
+    scales the L-BFGS initial inverse Hessian.
     """
     variables = cfg.variables
     x0 = pack(d0, variables)
@@ -469,15 +431,13 @@ def optimize_decomposition(
     def objective(x: np.ndarray):
         d = unpack(x, d0, variables)
         ws = _Workspace(z, d)
-        value = eval_penalized_cost(z, d, cfg.C, cfg.lam, workspace=ws)
-
-        def gradient():
-            gx = pack_gradient(eval_cost_gradient(z, d, workspace=ws), d, variables)
-            if cfg.lam > 0.0:
-                gx = gx + cfg.lam * pack_gradient(penalty_gradient(d, cfg.C), d, variables)
-            return gx, _gauss_newton_diagonal(ws, variables)
-
-        return value, gradient
+        cost = eval_cost_gradient(z, d, workspace=ws)
+        value, gx = cost.value, pack_gradient(cost, d, variables)
+        if cfg.lam > 0.0:
+            penalty = penalty_gradient(d, cfg.C)
+            value += cfg.lam * penalty.value
+            gx = gx + cfg.lam * pack_gradient(penalty, d, variables)
+        return value, gx, _gauss_newton_diagonal(ws, variables)
 
     xs, result = lbfgs_minimize(objective, x0, cfg, callback)
     return replace(result, decomposition=unpack(xs, d0, variables))
@@ -579,10 +539,7 @@ def optimize_path_only(
 
     def objective(x: np.ndarray):
         cost, d = inner(x)
-        return cost, lambda: (
-            path_pullback(d.frames[0].path, times, path_gradient_nodal(z, d)[0]),
-            None,
-        )
+        return cost, path_pullback(d.frames[0].path, times, path_gradient_nodal(z, d)[0]), None
 
     xs, result = lbfgs_minimize(objective, np.array(path0.values, dtype=float), cfg, callback)
     final_cost, d_final = inner(xs)

@@ -20,8 +20,9 @@ from spod.cost_grad import (
     _Workspace,
     reconstruct,
 )
+from spod.baseline_pod import _pullback_rows
 from spod.generators import TravelingProfile, synthetic_traveling
-from spod.optimizer import _pullback_rows, pack, pack_gradient, unpack
+from spod.optimizer import pack, pack_gradient, unpack
 from spod.shift_fem import (
     _SNAP_REL,
     BAND_OFFSETS,
@@ -221,10 +222,11 @@ class TestGradient:
         "kinds", [("nodal",), ("polynomial",), ("nodal", "polynomial"), ("polynomial", "nodal")]
     )
     def test_value_only_calls_equal_gradient_values_bitwise(self, rng, kinds):
-        # line-search trials read eval_cost / penalty_value and accepted
-        # points eval_cost_gradient / penalty_gradient, and the path-only fit
-        # takes its gradient from path_gradient_nodal: a fit's trajectory
-        # does not depend on which one produced a number only if they agree
+        # the full fit's values come from eval_cost_gradient /
+        # penalty_gradient and the path-only fit's gradient from
+        # path_gradient_nodal; eval_cost / eval_penalized_cost and
+        # eval_cost_gradient's path block report the same numbers only if
+        # they agree bitwise
         for _ in range(10):
             n, m = int(rng.integers(12, 33)), int(rng.integers(4, 21))
             shapes = [int(rng.integers(1, 4)) for _ in kinds]
@@ -233,8 +235,10 @@ class TestGradient:
             assert eval_cost(z, d) == full.value
             for f, nodal, g in zip(d.frames, path_gradient_nodal(z, d), full.g_paths):
                 assert np.array_equal(path_pullback(f.path, d.tgrid.times, nodal), g)
-            C = float(rng.uniform(0.5, 20.0))
+            C, lam = float(rng.uniform(0.5, 20.0)), float(rng.uniform(0.1, 10.0))
             assert penalty_value(d, C) == penalty_gradient(d, C).value
+            penalized = full.value + lam * penalty_gradient(d, C).value
+            assert eval_penalized_cost(z, d, C, lam) == penalized
 
     @pytest.mark.parametrize("nframes", [1, 2])
     def test_each_gram_family_is_built_on_demand(self, rng, monkeypatch, nframes):
@@ -264,11 +268,12 @@ class TestGradient:
         assert calls["F"] == calls["G"] == nframes**2
 
     def test_gradient_on_the_value_workspace_is_bitwise_fresh(self, rng):
-        # the optimizer takes an accepted point's gradient on the workspace
-        # its value was computed on: no product may differ from a fresh call
+        # the optimizer hands each trial's workspace to eval_cost_gradient;
+        # a workspace whose value was read first may differ in no product
+        # from a fresh call
         z, d = random_instance(rng, 20, 10, [2, 1], ["nodal", "polynomial"])
         ws = _Workspace(z, d)
-        value = eval_cost(z, d, workspace=ws)
+        value = ws.value
         reused = eval_cost_gradient(z, d, workspace=ws)
         fresh = eval_cost_gradient(z, d)
         assert value == reused.value == fresh.value
@@ -284,14 +289,10 @@ class TestGradient:
         other = unpack(pack(d), d)
         ws = _Workspace(z, other)
         with pytest.raises(ValueError, match="workspace"):
-            eval_cost(z, d, workspace=ws)
-        with pytest.raises(ValueError, match="workspace"):
-            eval_penalized_cost(z, d, workspace=ws)
-        with pytest.raises(ValueError, match="workspace"):
             eval_cost_gradient(z, d, workspace=ws)
         z_other = SnapshotSet(z.grid, z.tgrid, z.values.copy())
         with pytest.raises(ValueError, match="workspace"):
-            eval_cost(z_other, other, workspace=ws)
+            eval_cost_gradient(z_other, other, workspace=ws)
 
     def test_polynomial_equals_vandermonde_pushforward(self, rng):
         coeffs_poly = np.array([0.07, -0.2, 0.11])

@@ -1,9 +1,7 @@
-import weakref
-
 import numpy as np
 import pytest
 
-from spod.baseline_pod import _mass_symbol
+from spod.baseline_pod import _mass_symbol, _pullback_rows
 from spod.core import SnapshotSet, SpatialGrid, make_uniform_time_grid
 from spod.cost_grad import (
     Decomposition,
@@ -18,14 +16,12 @@ from spod.cost_grad import (
 )
 from spod.generators import TravelingProfile, synthetic_traveling
 from spod.optimizer import (
-    ARMIJO_C,
     MAX_BACKTRACKS,
     STALL_RTOL,
     STALL_WINDOW,
     VARIABLE_GROUPS,
     OptimizerConfig,
     _gauss_newton_diagonal,
-    _pullback_rows,
     lbfgs_minimize,
     optimize_decomposition,
     optimize_path_only,
@@ -133,8 +129,8 @@ class TestPacking:
 
 
 def quadratic(A, b):
-    """The objective ``x^T A x / 2 - b^T x`` with its deferred gradient and
-    no diagonal.
+    """The objective ``x^T A x / 2 - b^T x`` with its gradient and no
+    diagonal.
 
     The value is taken in the centred form ``(x - x*)^T A (x - x*) / 2``,
     which differs by a constant: near the optimum the plain form reads
@@ -145,7 +141,7 @@ def quadratic(A, b):
 
     def objective(x):
         e = x - xstar
-        return 0.5 * float(e @ A @ e), lambda: (A @ x - b, None)
+        return 0.5 * float(e @ A @ e), A @ x - b, None
 
     return objective
 
@@ -153,27 +149,20 @@ def quadratic(A, b):
 def rosenbrock(x):
     a, b = x
     f = (1 - a) ** 2 + 100 * (b - a * a) ** 2
-    return f, lambda: (np.array([-2 * (1 - a) - 400 * a * (b - a * a), 200 * (b - a * a)]), None)
+    return f, np.array([-2 * (1 - a) - 400 * a * (b - a * a), 200 * (b - a * a)]), None
 
 
 def recording(objective):
-    """``objective`` wrapped to append ``(x, f)`` of every evaluation to
-    ``trials`` and the index of the trial of every gradient call to
-    ``taken``; returns ``(wrapped, trials, taken)``."""
-    trials, taken = [], []
+    """``objective`` wrapped to append ``(x, f, g)`` of every evaluation to
+    ``trials``; returns ``(wrapped, trials)``."""
+    trials = []
 
     def wrapped(x):
-        trial = len(trials)
-        f, gradient = objective(x)
-        trials.append((x.copy(), f))
+        f, g, diagonal = objective(x)
+        trials.append((x.copy(), f, g))
+        return f, g, diagonal
 
-        def recorded_gradient():
-            taken.append(trial)
-            return gradient()
-
-        return f, recorded_gradient
-
-    return wrapped, trials, taken
+    return wrapped, trials
 
 
 def well_conditioned_quadratic(rng):
@@ -197,75 +186,47 @@ class TestLbfgs:
     def test_rosenbrock(self):
         cfg = OptimizerConfig(max_iters=500, grad_tol=1e-10)
         x, hist = lbfgs_minimize(rosenbrock, np.array([-1.2, 1.0]), cfg)
-        f, _ = rosenbrock(x)
+        f, _, _ = rosenbrock(x)
         assert f < 1e-8
 
     @pytest.mark.parametrize("case", ["quadratic", "rosenbrock"])
     def test_gradient_protocol(self, monkeypatch, rng, case):
-        # a gradient is taken at x0, at a unit step that passed Armijo (the
-        # curvature probe) and at each accepted point, and at most once per
-        # trial; a probe that a doubled step supersedes is counted too
+        # one call per trial returns the value and the gradient together:
+        # n_evals counts the calls, and each iteration's cost and gradient
+        # are those the trial at its point returned
         import spod.optimizer
 
         if case == "quadratic":
             objective, x0 = quadratic(*well_conditioned_quadratic(rng)), np.zeros(10)
         else:
             objective, x0 = rosenbrock, np.array([-1.2, 1.0])
-        recorded, trials, taken = recording(objective)
-        probes, accepted = set(), set()
+        recorded, trials = recording(objective)
+        accepted = []
         line_search = spod.optimizer._line_search
 
         def spy(evaluate, x, f, direction, gd):
             first = len(trials)
             hit = line_search(evaluate, x, f, direction, gd)
-            if first < len(trials):
-                fu = trials[first][1]
-                if fu < f and fu <= f + ARMIJO_C * gd:
-                    probes.add(first)
             if hit is not None:
-                accepted.update(
+                [i] = [
                     i for i in range(first, len(trials)) if np.array_equal(trials[i][0], hit[0])
-                )
+                ]
+                accepted.append(i)
             return hit
 
         monkeypatch.setattr(spod.optimizer, "_line_search", spy)
         _, hist = lbfgs_minimize(recorded, x0, OptimizerConfig(max_iters=500, grad_tol=1e-10))
         assert hist.termination == "converged"
+        assert hist.n_evals == len(trials) > hist.iterations + 1
         assert len(accepted) == hist.iterations
-        assert sorted(taken) == sorted({0} | probes | accepted)
-        assert hist.n_gradients == len(taken) == hist.iterations + 1 + len(probes - accepted)
-        assert hist.n_evals == len(trials)
-
-    @pytest.mark.parametrize("case", ["quadratic", "rosenbrock"])
-    def test_spent_trials_are_freed(self, rng, case):
-        # each trial's gradient closure holds a token; a rejected trial, and
-        # an accepted one once its gradient is taken, must be dropped, so at
-        # most the trial an expanding line search holds is alive at a call
-        if case == "quadratic":
-            objective, x0 = quadratic(*well_conditioned_quadratic(rng)), np.zeros(10)
-        else:
-            objective, x0 = rosenbrock, np.array([-1.2, 1.0])
-
-        class Token:
-            pass
-
-        live = weakref.WeakSet()
-        alive_at_call = []
-
-        def tokened(x):
-            alive_at_call.append(len(live))
-            token = Token()
-            live.add(token)
-            f, gradient = objective(x)
-            return f, lambda: (token, gradient())[1]
-
-        _, hist = lbfgs_minimize(tokened, x0, OptimizerConfig(max_iters=500, grad_tol=1e-10))
-        assert hist.n_evals > hist.n_gradients
-        assert max(alive_at_call) <= 1
+        for k, i in enumerate([0, *accepted]):
+            _, f, g = trials[i]
+            assert f == hist.cost_history[k]
+            assert np.max(np.abs(g)) == hist.grad_norm_history[k]
 
     def test_stationary_start_returns_immediately(self):
         def objective(x):
-            return float(x @ x), lambda: (2 * x, None)
+            return float(x @ x), 2 * x, None
 
         x, hist = lbfgs_minimize(objective, np.zeros(4), OptimizerConfig(grad_tol=1e-12))
         assert hist.iterations == 0
@@ -273,7 +234,7 @@ class TestLbfgs:
 
     def test_nonfinite_start_rejected(self):
         def objective(x):
-            return np.inf, lambda: (x, None)
+            return np.inf, x, None
 
         with pytest.raises(ValueError):
             lbfgs_minimize(objective, np.zeros(2), OptimizerConfig())
@@ -296,7 +257,7 @@ class TestLbfgs:
         def objective(x):
             nonlocal evals
             evals += 1
-            return 1e20 + float(np.sum(x)), lambda: (np.ones_like(x), None)
+            return 1e20 + float(np.sum(x)), np.ones_like(x), None
 
         _, hist = lbfgs_minimize(objective, np.ones(3), OptimizerConfig(max_iters=1000))
         assert hist.termination == "line-search-failure"
@@ -333,7 +294,7 @@ def separable_quadratic(with_diagonal, offset=0.0):
 
     def objective(x):
         f = offset + 0.5 * float(np.sum(h * x * x)) - float(b @ x)
-        return f, lambda: (h * x - b, h if with_diagonal else None)
+        return f, h * x - b, h if with_diagonal else None
 
     return objective, b / h
 
@@ -430,51 +391,51 @@ class TestCurvatureCondition:
     def test_newton_unit_step_costs_one_evaluation(self):
         # with the exact diagonal every direction after the first is the
         # Newton step: its unit step meets the curvature condition, so each
-        # of those line searches makes one evaluation and takes one gradient
+        # of those line searches makes one evaluation
         objective, xstar = separable_quadratic(True)
-        recorded, trials, taken = recording(objective)
-        counts = []  # evaluations and gradients so far, at each iteration
+        recorded, trials = recording(objective)
+        counts = []  # evaluations so far, at each iteration
 
         def callback(k, f, gnorm):
-            counts.append((len(trials), len(taken)))
+            counts.append(len(trials))
 
         cfg = OptimizerConfig(max_iters=500, grad_tol=1e-6)
         _, hist = lbfgs_minimize(recorded, np.zeros(xstar.size), cfg, callback)
         assert hist.termination == "converged" and hist.iterations >= 2
-        assert np.diff(counts, axis=0)[1:].tolist() == [[1, 1]] * (hist.iterations - 1)
-        assert hist.n_gradients == hist.iterations + 1
+        assert np.diff(counts)[1:].tolist() == [1] * (hist.iterations - 1)
+        assert hist.n_evals == len(trials)
 
     def test_short_unit_step_is_doubled(self):
         # on a flat quadratic the first steepest-descent unit step moves
-        # 1e-6 of the way: the probe fails the curvature condition, the step
-        # is doubled up to ~2^20, and the superseded probe is counted
+        # 1e-6 of the way: the probe fails the curvature condition and the
+        # step is doubled up to ~2^20
         eps = 1e-6
         xstar = np.linspace(1.0, 2.0, 4)
 
         def objective(x):
             e = x - xstar
-            return 0.5 * eps * float(e @ e), lambda: (eps * e, None)
+            return 0.5 * eps * float(e @ e), eps * e, None
 
         x, hist = lbfgs_minimize(objective, np.zeros(4), OptimizerConfig(max_iters=1))
         assert hist.iterations == 1
-        # x0, the unit step's probe and the accepted doubled step
-        assert hist.n_gradients == 3
-        assert hist.n_evals > 3
+        # x0, the unit step's probe, its doublings and the first one rejected
+        assert hist.n_evals > 20
         assert np.max(np.abs(x - xstar)) < 0.1 * np.max(xstar)
 
     def test_probe_gradient_is_kept_when_no_doubling_is_accepted(self):
         # a slope of -1 up to a steep wall at 1.5: the unit step from 0 is too
         # short by the curvature condition, its doubling hits the wall, and
-        # the unit step is accepted with the probe's gradient, not a new one
+        # the unit step is accepted with its own gradient, -1, not the
+        # rejected doubling's 99
         def objective(x):
             wall = np.maximum(x - 1.5, 0.0)
-            return float(np.sum(100.0 * wall**2 - x)), lambda: (200.0 * wall - 1.0, None)
+            return float(np.sum(100.0 * wall**2 - x)), 200.0 * wall - 1.0, None
 
-        recorded, trials, taken = recording(objective)
+        recorded, trials = recording(objective)
         x, hist = lbfgs_minimize(recorded, np.zeros(1), OptimizerConfig(max_iters=1))
         assert [t[0].tolist() for t in trials] == [[0.0], [1.0], [2.0]]
-        assert taken == [0, 1] and hist.n_gradients == 2
-        assert x.tolist() == [1.0]
+        assert hist.n_evals == 3
+        assert x.tolist() == [1.0] and hist.grad_norm_history.tolist() == [1.0, 1.0]
 
 
 def random_decomposition(rng, grid, tg, kinds=("nodal", "polynomial")):
@@ -643,7 +604,7 @@ class TestOptimizeDecomposition:
             assert np.allclose(fa.path.values, fb.path.values, atol=1e-10)
 
     def test_one_workspace_per_evaluation(self, monkeypatch):
-        # the deferred gradient reuses the workspace its value was built on
+        # value, gradient and Gauss-Newton diagonal share one workspace
         import spod.cost_grad as cost_grad
 
         built = 0
@@ -666,7 +627,7 @@ class TestOptimizeDecomposition:
             dtrue.tgrid,
         )
         res = optimize_decomposition(z, d0, OptimizerConfig(max_iters=20, grad_tol=1e-12))
-        assert res.iterations > 0 and res.n_gradients == res.iterations + 1
+        assert res.iterations > 0
         assert built == res.n_evals
 
     def test_monotone_history_on_real_problem(self):
